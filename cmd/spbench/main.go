@@ -8,7 +8,7 @@
 //	spbench -parallel -jobs 4   # experiments concurrently, shared cache
 //	spbench -format json        # machine-readable rows + wall times
 //	spbench -core-bench         # engine-throughput record → results/BENCH_core.json
-//	spbench -scale-bench        # (mesh x shards) scaling matrix → results/BENCH_scale.json
+//	spbench -scale-bench        # mesh scaling matrix → results/BENCH_scale.json
 //	spbench -cpuprofile cpu.pprof -core-bench
 //
 // -core-bench measures simulated-cycles-per-second over a fixed set of
@@ -65,7 +65,7 @@ func main() {
 	coreScale := flag.Float64("core-scale", 0.2, "workload scale for -core-bench")
 	coreGate := flag.Float64("core-gate", 0,
 		"fail -core-bench when aggregate cycles/s falls more than this percent below the rolling baseline (median of recent history; 0 = record only)")
-	scaleBench := flag.Bool("scale-bench", false, "measure the (mesh size x shard count) scaling matrix and write the BENCH_scale record")
+	scaleBench := flag.Bool("scale-bench", false, "measure the mesh-size scaling matrix and write the BENCH_scale record")
 	scaleOut := flag.String("scale-out", "results/BENCH_scale.json", "record path for -scale-bench")
 	scaleBenchName := flag.String("scale-bench-name", "ocean", "workload for -scale-bench")
 	scaleRuns := flag.Int("scale-runs", 3, "timed repetitions per cell for -scale-bench (best run counts)")

@@ -4,16 +4,9 @@ package main
 // -core-bench tracks the repository's throughput trend on the fixed 4×4
 // configuration (and feeds the rolling-baseline regression gate —
 // unchanged by this mode), -scale-bench answers a different question: how
-// does the engine behave as the mesh grows and as the sharded executor is
-// given more workers? It times one seeded workload over every
-// (mesh size × shard count) cell and writes the matrix, with the host's
-// parallelism context, to results/BENCH_scale.json.
-//
-// The host context matters: shard speedup is bounded by real cores. On a
-// single-core host the sharded executor's barrier and staging overhead is
-// pure cost, so ratios near (or slightly below) 1.0 are the honest
-// expected result there — the matrix records what this host measured, not
-// what a wider machine would.
+// does the serial engine's throughput change as the mesh grows? It times
+// one seeded workload on every mesh size and writes the matrix, with the
+// host context, to results/BENCH_scale.json.
 
 import (
 	"encoding/json"
@@ -29,31 +22,22 @@ import (
 )
 
 // scaleMeshes is the mesh axis: the paper's 4×4 plus the two scaled
-// configurations the sharded executor targets.
+// configurations.
 var scaleMeshes = []int{16, 64, 256}
 
-// scaleShards is the shard axis; 1 is the serial engine every other count
-// must match byte-for-byte (enforced by tests and check.sh, not here —
-// this mode only times).
-var scaleShards = []int{1, 2, 4, 8}
-
-// scaleCell is one timed (mesh, shards) configuration.
+// scaleCell is one timed mesh configuration.
 type scaleCell struct {
-	Nodes  int    `json:"nodes"`
-	Mesh   string `json:"mesh"` // "4x4" etc, for human readers
-	Shards int    `json:"shards"`
+	Nodes int    `json:"nodes"`
+	Mesh  string `json:"mesh"` // "4x4" etc, for human readers
 
 	SimCycles    uint64  `json:"sim_cycles"`
 	Events       uint64  `json:"events"`
 	WallNanos    int64   `json:"wall_nanos"` // best of the timed runs
 	CyclesPerSec float64 `json:"cycles_per_sec"`
-	// SpeedupVsSerial is CyclesPerSec over the shards=1 cell of the same
-	// mesh (1.0 for the serial cell itself).
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
 }
 
-// scaleHost records the parallelism context the matrix was measured
-// under; without it a shard ratio is uninterpretable.
+// scaleHost records the host the matrix was measured on; a throughput
+// figure means nothing without it.
 type scaleHost struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
@@ -71,13 +55,12 @@ type scaleFile struct {
 	Scale float64     `json:"scale"`
 	Seed  int64       `json:"seed"`
 	Host  scaleHost   `json:"host"`
-	Note  string      `json:"note"`
 	Cells []scaleCell `json:"cells"`
 }
 
-// measureScaleCell times runs repetitions of one (mesh, shards) cell and
-// keeps the fastest, mirroring measureCell's best-of policy.
-func measureScaleCell(bench string, nodes, shards, runs int, scale float64, seed int64) (scaleCell, error) {
+// measureScaleCell times runs repetitions of one mesh cell and keeps the
+// fastest, mirroring measureCell's best-of policy.
+func measureScaleCell(bench string, nodes, runs int, scale float64, seed int64) (scaleCell, error) {
 	p, err := workload.ByName(bench)
 	if err != nil {
 		return scaleCell{}, err
@@ -91,16 +74,15 @@ func measureScaleCell(bench string, nodes, shards, runs int, scale float64, seed
 	for side*side < nodes {
 		side++
 	}
-	cell := scaleCell{Nodes: nodes, Mesh: fmt.Sprintf("%dx%d", side, side), Shards: shards}
+	cell := scaleCell{Nodes: nodes, Mesh: fmt.Sprintf("%dx%d", side, side)}
 	for i := 0; i < runs; i++ {
 		opt := sim.DefaultOptions()
 		opt.Machine = m
-		opt.Shards = shards
 		start := time.Now()
 		res, err := sim.Run(prog, opt)
 		wall := time.Since(start)
 		if err != nil {
-			return scaleCell{}, fmt.Errorf("scale-bench %s n%d s%d: %w", bench, nodes, shards, err)
+			return scaleCell{}, fmt.Errorf("scale-bench %s n%d: %w", bench, nodes, err)
 		}
 		if cell.WallNanos == 0 || wall.Nanoseconds() < cell.WallNanos {
 			cell.WallNanos = wall.Nanoseconds()
@@ -127,32 +109,15 @@ func runScaleBench(out, bench string, runs int, scale float64, seed int64) error
 			NumCPU:     runtime.NumCPU(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 		},
-		Note: "speedup_vs_serial is bounded by the host's real cores; on a " +
-			"single-core host ~1.0 (or slightly below, barrier overhead) is the " +
-			"expected honest result. Output bytes are identical across the shard " +
-			"axis by construction (DESIGN.md §16).",
 	}
 	for _, nodes := range scaleMeshes {
-		var serial float64
-		for _, shards := range scaleShards {
-			if shards > nodes {
-				continue
-			}
-			cell, err := measureScaleCell(bench, nodes, shards, runs, scale, seed)
-			if err != nil {
-				return err
-			}
-			if shards == 1 {
-				serial = cell.CyclesPerSec
-			}
-			if serial > 0 {
-				cell.SpeedupVsSerial = cell.CyclesPerSec / serial
-			}
-			fmt.Fprintf(os.Stderr, "scale-bench: %-14s %5s x%d  %12d cycles  %8.1fms  %12.0f cycles/s  %.2fx\n",
-				bench, cell.Mesh, cell.Shards, cell.SimCycles, float64(cell.WallNanos)/1e6,
-				cell.CyclesPerSec, cell.SpeedupVsSerial)
-			file.Cells = append(file.Cells, cell)
+		cell, err := measureScaleCell(bench, nodes, runs, scale, seed)
+		if err != nil {
+			return err
 		}
+		fmt.Fprintf(os.Stderr, "scale-bench: %-14s %5s  %12d cycles  %8.1fms  %12.0f cycles/s\n",
+			bench, cell.Mesh, cell.SimCycles, float64(cell.WallNanos)/1e6, cell.CyclesPerSec)
+		file.Cells = append(file.Cells, cell)
 	}
 	file.When = time.Now().UTC().Format(time.RFC3339)
 

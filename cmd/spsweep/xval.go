@@ -28,7 +28,6 @@ func cmdXval(args []string) error {
 	fs := newFlagSet("spsweep xval")
 	mf := addMatrixFlags(fs)
 	jobs := fs.Int("jobs", runtime.NumCPU(), "worker pool size")
-	shards := fs.Int("shards", 1, "intra-run executor shards per cell (engine knob; results are byte-identical)")
 	timeout := fs.Duration("timeout", 0, "per-attempt wall-clock timeout (0 = none)")
 	dir := fs.String("dir", "results/sweep", "artifact store directory")
 	out := fs.String("out", "results/BENCH_xval.json", `divergence report JSON path ("" disables)`)
@@ -58,12 +57,11 @@ func cmdXval(args []string) error {
 	detailed := matrix
 	fast := matrix
 	fast.Mode = "fast"
-	run := cellRunner(*shards)
-	detRep, err := xvalSweep(ctx, "detailed", detailed.Jobs(), run, store, *jobs, *timeout)
+	detRep, err := xvalSweep(ctx, "detailed", detailed.Jobs(), runCell, store, *jobs, *timeout)
 	if err != nil {
 		return err
 	}
-	fastRep, err := xvalSweep(ctx, "fast", fast.Jobs(), run, store, *jobs, *timeout)
+	fastRep, err := xvalSweep(ctx, "fast", fast.Jobs(), runCell, store, *jobs, *timeout)
 	if err != nil {
 		return err
 	}
@@ -88,7 +86,7 @@ func cmdXval(args []string) error {
 				cells = append(cells, j)
 			}
 		}
-		escRep, err := xvalSweep(ctx, "escalate", cells, run, store, *jobs, *timeout)
+		escRep, err := xvalSweep(ctx, "escalate", cells, runCell, store, *jobs, *timeout)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package event
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -186,5 +187,34 @@ func TestPropertyFiredCount(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMixedFormsSameCycleFIFO interleaves the closure and pre-bound forms in
+// one cycle and chains zero-delay schedules from inside firing events: the
+// two forms share one FIFO, and every After(0) hop fires in the same cycle,
+// after everything already queued for it.
+func TestMixedFormsSameCycleFIFO(t *testing.T) {
+	s := New()
+	var order []string
+	note := func(a any) { order = append(order, a.(string)) }
+	var chain func(left int)
+	chain = func(left int) {
+		order = append(order, "hop")
+		if left > 0 {
+			s.After(0, func() { chain(left - 1) })
+		}
+	}
+	s.At(4, func() { order = append(order, "a") })
+	s.AtFn(4, note, "b")
+	s.At(4, func() { chain(2) })
+	s.AfterFn(4, note, "c")
+	s.Run()
+	want := "a b hop c hop hop"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("fired %q, want %q", got, want)
+	}
+	if s.Now() != 4 {
+		t.Fatalf("clock at %d, want 4", s.Now())
 	}
 }

@@ -35,13 +35,6 @@ type RunConfig struct {
 	// therefore every previously-recorded sweep artifact address —
 	// unchanged; only fast cells encode the field.
 	Mode string `json:"mode,omitempty"`
-
-	// Shards selects the intra-run sharded executor (DESIGN.md §16);
-	// 0 and 1 mean serial. Results are byte-identical for every value, so
-	// the field is an engine knob, not part of the cell's identity — it is
-	// excluded from JSON so artifact addresses and digests never depend on
-	// how a cell was executed.
-	Shards int `json:"-"`
 }
 
 // FastMode reports whether the configuration selects the fast functional
@@ -60,9 +53,6 @@ func (c RunConfig) Validate() error {
 	case "", "detailed", "fast":
 	default:
 		return fmt.Errorf("runcfg: unknown mode %q (want detailed or fast)", c.Mode)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("runcfg: shards %d < 0", c.Shards)
 	}
 	return nil
 }

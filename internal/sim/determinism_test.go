@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"spcoh/internal/core"
 	"spcoh/internal/event"
 	"spcoh/internal/predictor"
+	"spcoh/internal/scenario"
 	"spcoh/internal/trace"
 	"spcoh/internal/workload"
 )
@@ -126,6 +128,34 @@ func TestDeterministicReplayFIFO(t *testing.T) {
 		if got[i+1] != i {
 			t.Fatalf("same-cycle events fired out of scheduling order: position %d got %d", i, got[i+1])
 		}
+	}
+}
+
+// TestGeneratedScenarioReplay runs a generated scenario spec (the fuzzer's
+// output, not a hand-written profile) with the SP predictor twice: the run
+// must complete and serialize to identical bytes.
+func TestGeneratedScenarioReplay(t *testing.T) {
+	spec := scenario.Generate(42, scenario.GenOptions{})
+	var runs [2]string
+	for i := range runs {
+		prog, err := workload.FromSpec(spec, 16, 0.1, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := DefaultOptions()
+		opt.Predictors = core.NewSystem(core.DefaultConfig(16))
+		res, err := Run(prog, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = string(b)
+	}
+	if runs[0] != runs[1] {
+		t.Fatalf("generated scenario replay differs at byte %d", firstDiff(runs[0], runs[1]))
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"spcoh/internal/core"
+	"spcoh/internal/predictor"
 	"spcoh/internal/protocol"
 	"spcoh/internal/workload"
 )
@@ -45,6 +47,56 @@ func TestSmallMachine(t *testing.T) {
 	}
 	if res.Misses() == 0 || res.CommRatio() <= 0 {
 		t.Fatalf("4-node run empty: %+v", res)
+	}
+}
+
+// TestBigMeshCompletes runs the scaled 8x8 and 16x16 machines to
+// completion; Run fails on deadlock and on any hard coherence violation.
+func TestBigMeshCompletes(t *testing.T) {
+	p, _ := workload.ByName("ocean")
+	for _, nodes := range []int{64, 256} {
+		cfg, err := protocol.ConfigFor(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := DefaultOptions()
+		opt.Machine = cfg
+		res, err := Run(p.Build(nodes, 0.02, 3), opt)
+		if err != nil {
+			t.Fatalf("%d-node mesh: %v", nodes, err)
+		}
+		if res.Misses() == 0 || res.Cycles == 0 {
+			t.Fatalf("%d-node mesh run empty: %+v", nodes, res)
+		}
+	}
+}
+
+// TestPredictorCount: a predictor slice must hold one entry per node or
+// none; any other length is a configuration error, not a panic.
+func TestPredictorCount(t *testing.T) {
+	p, _ := workload.ByName("x264")
+	all := core.NewSystem(core.DefaultConfig(16))
+	cases := []struct {
+		name  string
+		preds []predictor.Predictor
+		ok    bool
+	}{
+		{"empty", []predictor.Predictor{}, true},
+		{"short", all[:4], false},
+		{"long", append(append([]predictor.Predictor{}, all...), all[0]), false},
+	}
+	for _, c := range cases {
+		opt := DefaultOptions()
+		opt.Predictors = c.preds
+		res, err := Run(p.Build(16, 0.05, 1), opt)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%s (%d predictors): %v", c.name, len(c.preds), err)
+		case c.ok && res.Predictor != "directory":
+			t.Errorf("%s: predictor %q, want the baseline directory", c.name, res.Predictor)
+		case !c.ok && (err == nil || !strings.Contains(err.Error(), "predictors for 16 nodes")):
+			t.Errorf("%s (%d predictors): want a predictor-count error, got %v", c.name, len(c.preds), err)
+		}
 	}
 }
 

@@ -39,16 +39,22 @@
 #   spstat smoke  metrics pipeline end to end: a small instrumented run
 #                 twice (series must be byte-identical), spstat -validate
 #                 (epochs monotone/contiguous), JSON decode, and the
-#                 collector-overhead benchmark into results/BENCH_metrics.json
+#                 collector-overhead benchmark into a temp copy of
+#                 results/BENCH_metrics.json (the tracked file is not
+#                 rewritten)
 #   bench smoke   every testing.B benchmark compiled and run once
 #                 (-benchtime=1x) so benchmark code cannot rot, then
-#                 spbench -core-bench refreshes results/BENCH_core.json
-#                 with -core-gate 50: the run fails only when aggregate
+#                 spbench -core-bench appends to a temp copy of
+#                 results/BENCH_core.json (so the tracked history still
+#                 feeds the baseline, but is not rewritten) with
+#                 -core-gate 50: the run fails only when aggregate
 #                 cycles/s falls >50% below the rolling baseline (median
 #                 of recent history) — generous enough that wall noise on
 #                 shared boxes cannot trip it, tight enough to catch a
 #                 real engine regression; allocation regressions are gated
 #                 by the AllocsPerRun ceilings inside go test (DESIGN.md §11)
+#   scale smoke   spbench -scale-bench over the mesh axis (4x4, 8x8,
+#                 16x16) into a temp record, which must include 16x16
 #
 # Any gate failing exits non-zero.
 set -eu
@@ -227,21 +233,6 @@ cmp "$sweepdir/spec1.txt" "$sweepdir/spec2.txt" || {
     exit 1
 }
 
-echo "== shard determinism (spsim -shards 4 == serial, profiles + generated spec)"
-for b in ocean x264; do
-    "$sweepdir/spsim" -bench "$b" -pred sp -scale 0.05 -shards 1 > "$sweepdir/shard1.txt"
-    "$sweepdir/spsim" -bench "$b" -pred sp -scale 0.05 -shards 4 > "$sweepdir/shard4.txt"
-    cmp "$sweepdir/shard1.txt" "$sweepdir/shard4.txt" || {
-        echo "spsim: -shards 4 output differs from serial on $b" >&2
-        exit 1
-    }
-done
-"$sweepdir/spsim" -spec "$sweepdir/fuzz7.json" -pred sp -shards 4 > "$sweepdir/spec4.txt"
-cmp "$sweepdir/spec1.txt" "$sweepdir/spec4.txt" || {
-    echo "spsim: -shards 4 output differs from serial on the generated spec" >&2
-    exit 1
-}
-
 echo "== spstat smoke (metrics series determinism / validate / overhead)"
 go build -o "$sweepdir/spstat" ./cmd/spstat
 "$sweepdir/spsim" -bench x264 -pred sp -scale 0.05 \
@@ -262,8 +253,8 @@ cmp "$sweepdir/series1.json" "$sweepdir/series2.json" || {
     echo "spstat: series JSON re-emit failed" >&2
     exit 1
 }
-mkdir -p results
-"$sweepdir/spstat" -bench -bench-scale 0.05 -bench-out results/BENCH_metrics.json || {
+cp results/BENCH_metrics.json "$sweepdir/BENCH_metrics.json"
+"$sweepdir/spstat" -bench -bench-scale 0.05 -bench-out "$sweepdir/BENCH_metrics.json" || {
     echo "spstat: overhead benchmark failed" >&2
     exit 1
 }
@@ -275,16 +266,17 @@ go test -bench=. -benchtime=1x -run='^$' ./... > "$sweepdir/bench.log" 2>&1 || {
     exit 1
 }
 
-echo "== spbench core benchmark (results/BENCH_core.json refresh, rolling-baseline gate)"
+echo "== spbench core benchmark (temp copy of results/BENCH_core.json, rolling-baseline gate)"
 go build -o "$sweepdir/spbench" ./cmd/spbench
-"$sweepdir/spbench" -core-bench -core-out results/BENCH_core.json -core-gate 50 || {
+cp results/BENCH_core.json "$sweepdir/BENCH_core.json"
+"$sweepdir/spbench" -core-bench -core-out "$sweepdir/BENCH_core.json" -core-gate 50 || {
     echo "spbench: core benchmark failed (or regressed past the rolling-baseline gate)" >&2
     exit 1
 }
 
-echo "== spbench scale matrix smoke (mesh x shards record, throwaway path)"
-# A fast pass over the full (mesh x shards) matrix proves the mode works;
-# the curated results/BENCH_scale.json is refreshed deliberately, not here.
+echo "== spbench scale matrix smoke (mesh record, throwaway path)"
+# A fast pass over the mesh matrix proves the mode works; the curated
+# results/BENCH_scale.json is refreshed deliberately, not here.
 "$sweepdir/spbench" -scale-bench -scale-runs 1 -scale-scale 0.005 \
     -scale-out "$sweepdir/scale.json" 2> "$sweepdir/scale.log" || {
     echo "spbench: scale matrix smoke failed:" >&2
