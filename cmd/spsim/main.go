@@ -100,7 +100,6 @@ func main() {
 	specPath := flag.String("spec", "", `scenario spec file instead of a built-in benchmark ("-" = stdin)`)
 	pred := flag.String("pred", "none", "predictor: none|sp|spfilter|addr|inst|uni")
 	proto := flag.String("protocol", "dir", "protocol: dir|bcast")
-	modeFlag := flag.String("mode", "detailed", "simulation fidelity: detailed|fast (fast skips NoC contention; counts stay exact, timing is approximate)")
 	scale := flag.Float64("scale", 0.2, "workload scale factor")
 	seed := flag.Int64("seed", 42, "workload build seed")
 	threads := flag.Int("threads", 16, "thread/node count (a perfect-square mesh: 16, 64, 256, ...)")
@@ -135,12 +134,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "spsim:", err)
 			}
 		}()
-	}
-
-	mode, err := sim.ParseMode(*modeFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "spsim:", err)
-		os.Exit(2)
 	}
 
 	if *metricsOut != "" && *metricsEpoch == 0 {
@@ -223,7 +216,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		opt.Mode = mode
 		opt.MetricsEpoch = event.Time(*metricsEpoch)
 		res, err := sim.Run(prog, opt)
 		if err != nil {

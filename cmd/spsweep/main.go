@@ -19,8 +19,6 @@
 //	spsweep run     -server URL [matrix flags]        # submit to spsweepd, stream, merge
 //	spsweep work    -server URL [-jobs N] [-drain]    # remote worker: lease/execute/push
 //	spsweep results -server URL [-sweep ID]           # fetch a finished sweep's merge
-//	spsweep xval    [matrix flags] [-jobs N] [-threshold 0.05]
-//	                [-out results/BENCH_xval.json]    # detailed-vs-fast cross-validation
 //
 // Server commands take -token (default $SPSWEEPD_TOKEN) when the daemon
 // requires bearer-token authentication.
@@ -69,8 +67,6 @@ func main() {
 		err = cmdWork(os.Args[2:])
 	case "results":
 		err = cmdResults(os.Args[2:])
-	case "xval":
-		err = cmdXval(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -86,7 +82,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: spsweep <run|resume|status|list|work|results|xval> [flags]
+	fmt.Fprintln(os.Stderr, `usage: spsweep <run|resume|status|list|work|results> [flags]
 
   run     execute a sweep matrix, checkpointing each finished job
           (-server URL submits it to a spsweepd daemon instead)
@@ -96,8 +92,6 @@ func usage() {
   list    print the expanded job matrix and digests
   work    serve a spsweepd daemon as a remote worker (lease/execute/push)
   results fetch a finished sweep's merged results from a spsweepd server
-  xval    cross-validate: run a matrix in both detailed and fast mode and
-          report the per-cell divergence (DESIGN.md §15)
 
 Run 'spsweep <subcommand> -h' for flags.`)
 }
@@ -109,7 +103,6 @@ type matrixFlags struct {
 	threads                     *int
 	quick                       *bool
 	metricsEpoch                *uint64
-	mode                        *string
 }
 
 func addMatrixFlags(fs *flag.FlagSet) *matrixFlags {
@@ -122,7 +115,6 @@ func addMatrixFlags(fs *flag.FlagSet) *matrixFlags {
 		threads:      fs.Int("threads", 16, "threads per workload (must match the machine's node count)"),
 		quick:        fs.Bool("quick", false, "shorthand for -scales 0.25"),
 		metricsEpoch: fs.Uint64("metrics-epoch", 0, "metrics sampling epoch in cycles for every cell (0 = no metrics)"),
-		mode:         fs.String("mode", "detailed", "simulation fidelity for every cell: detailed|fast (DESIGN.md §15)"),
 	}
 }
 
@@ -192,16 +184,6 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 		}
 		scaleVals = append(scaleVals, v)
 	}
-	// "detailed" (the flag default) stores as "" so explicit and implicit
-	// default spellings produce one matrix digest.
-	md, err := sim.ParseMode(*m.mode)
-	if err != nil {
-		return sweep.Matrix{}, err
-	}
-	mode := ""
-	if md == sim.ModeFast {
-		mode = string(sim.ModeFast)
-	}
 	return sweep.Matrix{
 		Benches:      benches,
 		Specs:        specRefs,
@@ -210,7 +192,6 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 		Scales:       scaleVals,
 		Threads:      *m.threads,
 		MetricsEpoch: *m.metricsEpoch,
-		Mode:         mode,
 	}, nil
 }
 
@@ -286,7 +267,10 @@ func cmdRun(args []string, resume bool) error {
 		if !store.HasManifestFile() {
 			return fmt.Errorf("resume: no sweep recorded in %s (run 'spsweep run' first)", *dir)
 		}
-		m, ok := store.Matrix()
+		m, ok, err := store.Matrix()
+		if err != nil {
+			return fmt.Errorf("resume: %w", err)
+		}
 		if !ok {
 			return fmt.Errorf("resume: manifest in %s has no matrix", *dir)
 		}
@@ -384,7 +368,10 @@ func cmdStatus(args []string) error {
 	if !store.HasManifestFile() {
 		return fmt.Errorf("no sweep recorded in %s", *dir)
 	}
-	matrix, ok := store.Matrix()
+	matrix, ok, err := store.Matrix()
+	if err != nil {
+		return err
+	}
 	if !ok {
 		return fmt.Errorf("manifest in %s has no matrix", *dir)
 	}

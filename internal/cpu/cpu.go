@@ -21,15 +21,6 @@ type MemPort interface {
 	OnSync(kind predictor.SyncKind, staticID uint64)
 }
 
-// FastPort extends MemPort with the fast-mode hit path (DESIGN.md §15):
-// AccessFast resolves cache hits synchronously, returning the access latency
-// for the core to accumulate on its own virtual clock; ok=false means the
-// access misses and must be re-issued through Access.
-type FastPort interface {
-	MemPort
-	AccessFast(pc uint64, addr arch.Addr, write bool) (lat event.Time, ok bool)
-}
-
 // SyncRuntime provides barrier and lock coordination between cores.
 type SyncRuntime interface {
 	Barrier(core int, id uint64, resume func())
@@ -64,12 +55,8 @@ type Core struct {
 	// stepFn is the core's step bound once at construction: the execution
 	// loop passes it as the completion callback of every memory access and
 	// compute delay, instead of materializing a fresh method value (one
-	// heap allocation) per op. EnableFast rebinds it to fastStep, so misses
-	// and sync resumptions re-enter the batching loop.
+	// heap allocation) per op.
 	stepFn func()
-
-	// fastPort is the port's fast hit path; non-nil only after EnableFast.
-	fastPort FastPort
 }
 
 // New builds a core over its op stream. onFinish fires once at OpEnd.
@@ -87,15 +74,6 @@ func (c *Core) Stats() Stats { return c.stats }
 
 // Finished reports whether the core reached OpEnd.
 func (c *Core) Finished() bool { return c.finished }
-
-// EnableFast switches the core to the fast-mode execution loop: runs of
-// compute ops and cache hits are batched into a single event on the core's
-// virtual clock instead of one event per op. The port must implement
-// FastPort.
-func (c *Core) EnableFast() {
-	c.fastPort = c.port.(FastPort)
-	c.stepFn = c.fastStep
-}
 
 // Start begins execution at the current simulator time.
 func (c *Core) Start() { c.stepFn() }
@@ -170,74 +148,6 @@ func (c *Core) step() {
 
 	default:
 		panic(fmt.Sprintf("cpu: core %d: bad op kind %v", c.ID, op.Kind))
-	}
-}
-
-// coreFastStep is the pre-bound form of (*Core).fastStep for event.AtFn.
-//
-//spcoh:noalloc
-func coreFastStep(a any) { a.(*Core).fastStep() }
-
-// fastStep is the fast-mode execution loop: it walks consecutive compute
-// ops and cache hits accumulating their latencies on a virtual clock (vt),
-// then schedules a single engine event at the batch boundary. Misses, sync
-// ops and OpEnd break the batch — they are issued through the detailed path
-// at their exact virtual start time, so transaction ordering matches the
-// op-level interleaving of the detailed model.
-func (c *Core) fastStep() {
-	now := c.sim.Now()
-	vt := now
-	for {
-		if c.ip >= len(c.ops) {
-			if vt > now {
-				c.sim.AtFn(vt, coreFastStep, c)
-				return
-			}
-			c.finish()
-			return
-		}
-		op := c.ops[c.ip]
-		switch op.Kind {
-		case workload.OpCompute:
-			c.ip++
-			c.stats.ComputeCyc += uint64(op.N)
-			d := event.Time(int(op.N) / c.IssueWidth)
-			if d < 1 {
-				d = 1
-			}
-			vt += d
-
-		case workload.OpRead, workload.OpWrite:
-			lat, ok := c.fastPort.AccessFast(op.PC, op.Addr, op.Kind == workload.OpWrite)
-			if ok {
-				c.ip++
-				c.stats.MemOps++
-				vt += lat
-				continue
-			}
-			// Miss: re-run the access at its virtual start time (the probe
-			// left the caches untouched), so the coherence transaction
-			// issues exactly where the detailed model would issue it.
-			if vt > now {
-				c.sim.AtFn(vt, coreFastStep, c)
-				return
-			}
-			c.ip++
-			c.stats.MemOps++
-			c.port.Access(op.PC, op.Addr, op.Kind == workload.OpWrite, c.stepFn)
-			return
-
-		default:
-			// Sync ops and OpEnd: delegate to the detailed step at the
-			// batch's virtual time. Their resume callbacks re-enter this
-			// loop via stepFn.
-			if vt > now {
-				c.sim.AtFn(vt, coreFastStep, c)
-				return
-			}
-			c.step()
-			return
-		}
 	}
 }
 

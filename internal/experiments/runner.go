@@ -118,8 +118,7 @@ func protect[T any](key string, fn func() (T, error)) (val T, err error) {
 
 // options builds the sim options every pass of this runner shares: the
 // machine sized to the configured thread count (the paper's 16-node mesh
-// stays the default; other counts select the matching square mesh) and the
-// fidelity mode.
+// stays the default; other counts select the matching square mesh).
 func (r *Runner) options() (sim.Options, error) {
 	opt := sim.DefaultOptions()
 	if r.Cfg.Threads != opt.Machine.Nodes {
@@ -129,7 +128,6 @@ func (r *Runner) options() (sim.Options, error) {
 		}
 		opt.Machine = m
 	}
-	opt.Mode = sim.Mode(r.Cfg.Mode)
 	return opt, nil
 }
 
@@ -214,8 +212,6 @@ func (r *Runner) book(bench string) (*core.OracleBook, error) {
 			return nil, err
 		}
 		b := core.NewOracleBook()
-		// The profiling pass runs at the same fidelity as the measurement
-		// run: an oracle cell stays self-consistent within one mode.
 		opt, err := r.options()
 		if err != nil {
 			return nil, err
@@ -271,9 +267,6 @@ func (r *Runner) Analysis(bench string) (*charac.Analysis, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The §3.2 methodology is a detailed-fidelity trace run regardless of
-		// the cell mode (as before the shared options helper).
-		opt.Mode = ""
 		opt.Tracer = col
 		if _, err := sim.Run(prog, opt); err != nil {
 			return nil, fmt.Errorf("experiments: trace %s: %w", bench, err)

@@ -178,10 +178,6 @@ func (d *DirSlice) startGet(e *dirLine, m Msg) {
 	} else {
 		g = &dirGet{d: d, e: e, m: m}
 	}
-	if s.Fast {
-		s.casc.After(s.Cfg.DirLatency, fireDirGet, g)
-		return
-	}
 	s.Sim.AfterFn(s.Cfg.DirLatency, fireDirGet, g)
 }
 
@@ -225,10 +221,6 @@ func (d *DirSlice) memData(m Msg, excl bool, acks int) {
 		f.d, f.m, f.excl, f.acks = d, m, excl, acks
 	} else {
 		f = &memFetch{d: d, m: m, excl: excl, acks: acks}
-	}
-	if s.Fast {
-		s.casc.After(s.Cfg.MemLatency, fireMemFetch, f)
-		return
 	}
 	s.Sim.AfterFn(s.Cfg.MemLatency, fireMemFetch, f)
 }

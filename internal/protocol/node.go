@@ -162,8 +162,8 @@ type Node struct {
 	wb    map[arch.LineAddr]*wbEntry
 
 	// memoMshr short-circuits mshrs lookups for the line resolved last:
-	// every reply in one transaction targets the same MSHR (in fast mode the
-	// whole cascade does). Cleared when that MSHR retires.
+	// every reply in one transaction targets the same MSHR. Cleared when
+	// that MSHR retires.
 	memoLine arch.LineAddr
 	memoMshr *mshr
 
@@ -285,51 +285,6 @@ func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
 	n.miss(pc, line, predictor.WriteMiss, done)
 }
 
-// AccessFast is the fast-mode hit path: it resolves L1/L2 hits by returning
-// the access latency for the core to accumulate on its own virtual clock,
-// without touching the event queue. A miss (or upgrade miss) returns
-// ok=false with the caches untouched; the caller re-issues the access
-// through Access, which performs the single authoritative lookup. Hit/miss
-// classification and LRU movement are identical to Access: exactly one
-// mutating Lookup happens per access either way.
-func (n *Node) AccessFast(pc uint64, addr arch.Addr, write bool) (lat event.Time, ok bool) {
-	line := addr.Line()
-	if !write {
-		if n.l1.Lookup(line) != nil {
-			n.stats.Accesses++
-			n.stats.L1Hits++
-			return n.sys.Cfg.L1Latency, true
-		}
-		if n.l2.Lookup(line) != nil {
-			n.stats.Accesses++
-			n.stats.L2Hits++
-			n.l1.Insert(line, cache.Shared)
-			return n.sys.Cfg.L1Latency + n.sys.Cfg.L2HitLatency(), true
-		}
-		return 0, false
-	}
-	// Write: classify with a silent Peek first so that an upgrade miss
-	// (line present in S/F) does not get an extra LRU touch here — the
-	// re-issued Access performs the one mutating Lookup, as in detailed
-	// mode.
-	l := n.l2.Peek(line)
-	if l == nil || (l.State != cache.Modified && l.State != cache.Exclusive) {
-		return 0, false
-	}
-	n.l2.Lookup(line)
-	l.State = cache.Modified // silent E->M upgrade
-	n.stats.Accesses++
-	n.stats.L2Hits++
-	n.l1.Insert(line, cache.Shared)
-	return n.sys.Cfg.L1Latency + n.sys.Cfg.L2HitLatency(), true
-}
-
-// fireCPUDone surfaces a fast-mode miss completion to the CPU at the
-// transaction's virtual completion time (see checkComplete).
-//
-//spcoh:noalloc
-func fireCPUDone(a any) { a.(*mshr).cpuDone() }
-
 // mshrFor is the memoized mshrs lookup (see memoMshr).
 //
 //spcoh:noalloc
@@ -392,15 +347,6 @@ func fireMissIssue(a any) {
 	n, pc, line, kind, done := r.n, r.pc, r.line, r.kind, r.done
 	r.n, r.done = nil, nil // release references before reuse
 	n.sys.missPool = append(n.sys.missPool, r)
-	if n.sys.Fast {
-		// Fast mode: the entire coherence transaction executes as one
-		// atomic cascade at this real-clock instant. Only the CPU-visible
-		// completion (fireCPUDone) rides the real engine afterwards.
-		n.sys.casc.Begin(n.sys.Sim.Now())
-		n.issueMiss(pc, line, kind, done)
-		n.sys.casc.Drain()
-		return
-	}
 	n.issueMiss(pc, line, kind, done)
 }
 
@@ -431,7 +377,7 @@ func (n *Node) issueMiss(pc uint64, line arch.LineAddr, kind predictor.MissKind,
 	set = set.Remove(n.self)
 
 	m := &mshr{
-		line: line, kind: kind, pc: pc, start: n.sys.clockNow(),
+		line: line, kind: kind, pc: pc, start: n.sys.Sim.Now(),
 		predSet: set, predTag: tag, cpuDone: done, needData: kind != predictor.UpgradeMiss,
 		provider: arch.None, supplier: arch.None,
 	}
@@ -704,7 +650,7 @@ func (n *Node) checkComplete(ms *mshr) {
 		ms.acksGot >= ms.acksNeeded && (ms.dataArrived || !ms.needData)
 	if !ms.cpuCalled && (readReady || writeReady) {
 		ms.cpuCalled = true
-		ms.cpuLat = n.sys.clockNow() - ms.start
+		ms.cpuLat = n.sys.Sim.Now() - ms.start
 		lat := uint64(ms.cpuLat)
 		n.stats.MissLatencySum += lat
 		// Communicating status is known reliably only after DirResp; for
@@ -715,13 +661,7 @@ func (n *Node) checkComplete(ms *mshr) {
 		} else {
 			n.stats.NonCommLatencySum += lat
 		}
-		if n.sys.Fast {
-			// The cascade resolves the transaction at one real instant;
-			// surface the completion to the CPU at its virtual time.
-			n.sys.Sim.AtFn(ms.start+ms.cpuLat, fireCPUDone, ms)
-		} else {
-			ms.cpuDone()
-		}
+		ms.cpuDone()
 	}
 	// Retry race (see MsgGetRetry): the directory's data plan relied on a
 	// predicted holder, but that holder turned out unable to forward —

@@ -80,15 +80,6 @@ type System struct {
 	Nodes []*Node
 	Dirs  []*DirSlice
 
-	// Fast selects the fast functional mode (DESIGN.md §15): each miss's
-	// coherence transaction executes as one atomic virtual-time cascade
-	// (casc) at a single real-clock instant, with contention-free NoC
-	// latencies; only the CPU-visible completion is deferred to the real
-	// clock. Protocol state machines and all count statistics are shared
-	// with the detailed mode and stay exact.
-	Fast bool
-	casc event.Cascade
-
 	// Debug, when set, observes every message at delivery time (protocol
 	// debugging aid; nil in normal operation).
 	Debug func(now event.Time, m Msg)
@@ -142,7 +133,7 @@ func deliverMsg(a any) {
 	s, m, sent := d.s, d.m, d.sent
 	s.msgPool = append(s.msgPool, d)
 	if s.obs != nil && s.obs.Message != nil {
-		s.obs.Message(m.Kind, s.clockNow()-sent)
+		s.obs.Message(m.Kind, s.Sim.Now()-sent)
 	}
 	s.dispatch(m)
 }
@@ -210,25 +201,10 @@ func (s *System) Home(l arch.LineAddr) arch.NodeID {
 	return arch.NodeID(uint64(l) % uint64(s.Cfg.Nodes))
 }
 
-// clockNow returns the protocol-visible clock: the cascade's virtual time
-// while a fast-mode transaction is draining, the engine clock otherwise.
-//
-//spcoh:noalloc
-func (s *System) clockNow() event.Time {
-	if s.casc.Active() {
-		return s.casc.Now()
-	}
-	return s.Sim.Now()
-}
-
 // send routes a message over the NoC and dispatches it on arrival.
 //
 //spcoh:noalloc
 func (s *System) send(m Msg) {
-	if s.Fast {
-		s.fastShip(0, m)
-		return
-	}
 	s.transmit(s.getDelivery(m)) //spvet:allow noalloc -- inlined getDelivery: cold-path freelist refill
 }
 
@@ -242,28 +218,12 @@ func (s *System) transmit(d *delivery) {
 //
 //spcoh:noalloc
 func (s *System) sendAfter(d event.Time, m Msg) {
-	if s.Fast {
-		s.fastShip(d, m)
-		return
-	}
 	s.Sim.AfterFn(d, transmitMsg, s.getDelivery(m)) //spvet:allow noalloc -- inlined getDelivery: cold-path freelist refill
-}
-
-// fastShip is the fast-mode counterpart of send/sendAfter: it accounts the
-// packet on the NoC (contention-free), and schedules delivery on the active
-// cascade at source delay + network latency in virtual time.
-//
-//spcoh:noalloc
-func (s *System) fastShip(srcDelay event.Time, m Msg) {
-	d := s.getDelivery(m) //spvet:allow noalloc -- inlined getDelivery: cold-path freelist refill
-	lat := s.Net.FastSend(m.Src, m.Dst, m.Kind.Bytes())
-	d.sent = s.casc.Now() + srcDelay
-	s.casc.At(d.sent+lat, deliverMsg, d)
 }
 
 func (s *System) dispatch(m Msg) {
 	if s.Debug != nil {
-		s.Debug(s.clockNow(), m)
+		s.Debug(s.Sim.Now(), m)
 	}
 	switch m.Kind {
 	case MsgGetS, MsgGetM, MsgPutS, MsgPutE, MsgPutM, MsgUnblock, MsgDirUpd, MsgWriteback, MsgGetRetry:

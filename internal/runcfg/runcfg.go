@@ -28,18 +28,7 @@ type RunConfig struct {
 	// phase-resolved time-series. omitempty keeps canonical encodings of
 	// metrics-free configs identical to pre-metrics recordings.
 	MetricsEpoch uint64 `json:"metrics_epoch,omitempty"`
-
-	// Mode selects the simulation fidelity: "" or "detailed" for the
-	// cycle-level model, "fast" for the fast functional model (DESIGN.md
-	// §15). omitempty keeps canonical encodings of detailed configs — and
-	// therefore every previously-recorded sweep artifact address —
-	// unchanged; only fast cells encode the field.
-	Mode string `json:"mode,omitempty"`
 }
-
-// FastMode reports whether the configuration selects the fast functional
-// model.
-func (c RunConfig) FastMode() bool { return c.Mode == "fast" }
 
 // Validate rejects configurations no layer can run.
 func (c RunConfig) Validate() error {
@@ -48,11 +37,6 @@ func (c RunConfig) Validate() error {
 	}
 	if c.Scale <= 0 {
 		return fmt.Errorf("runcfg: scale %g <= 0", c.Scale)
-	}
-	switch c.Mode {
-	case "", "detailed", "fast":
-	default:
-		return fmt.Errorf("runcfg: unknown mode %q (want detailed or fast)", c.Mode)
 	}
 	return nil
 }

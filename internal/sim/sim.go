@@ -30,40 +30,10 @@ const (
 	Broadcast
 )
 
-// Mode selects the simulation fidelity (DESIGN.md §15).
-type Mode string
-
-const (
-	// ModeDetailed is the cycle-level model: full NoC contention, link
-	// arbitration, and per-message event scheduling. The empty string is
-	// accepted as an alias everywhere a Mode is consumed.
-	ModeDetailed Mode = "detailed"
-	// ModeFast is the fast functional model: the same protocol, predictor
-	// and cache state machines (all count statistics stay exact), with NoC
-	// contention and arbitration replaced by fixed per-hop latencies —
-	// timing is approximate, typically optimistic.
-	ModeFast Mode = "fast"
-)
-
-// ParseMode validates a mode string ("" = detailed).
-func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case "", ModeDetailed:
-		return ModeDetailed, nil
-	case ModeFast:
-		return ModeFast, nil
-	}
-	return "", fmt.Errorf("sim: unknown mode %q (want detailed or fast)", s)
-}
-
 // Options configures one simulation run.
 type Options struct {
 	Machine  protocol.Config
 	Protocol ProtocolKind
-
-	// Mode selects detailed (default, also the zero value) or fast
-	// simulation.
-	Mode Mode
 
 	// Predictors, one per node (directory protocol only). Nil or empty =
 	// baseline.
@@ -104,11 +74,6 @@ type Result struct {
 	Benchmark string
 	Protocol  ProtocolKind
 	Predictor string
-
-	// Mode records the simulation fidelity the run used; empty (legacy
-	// results) means detailed, keeping existing serialized artifacts and
-	// their digests unchanged.
-	Mode Mode `json:"Mode,omitempty"`
 
 	Cycles event.Time // execution time (all cores finished)
 	Events uint64     // discrete events fired by the engine (throughput accounting)
@@ -183,20 +148,9 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("sim: %d predictors for %d nodes (want one per node, or none)", k, n)
 	}
 
-	mode, err := ParseMode(string(opt.Mode))
-	if err != nil {
-		return nil, err
-	}
-	fast := mode == ModeFast
-
 	s := event.New()
 	co := cpu.NewCoordinator(s, n)
 	res := &Result{Benchmark: prog.Name, Protocol: opt.Protocol, Predictor: "directory"}
-	if fast {
-		// Recorded only for fast runs: detailed results keep their legacy
-		// byte representation (and store digests).
-		res.Mode = ModeFast
-	}
 
 	var ports []cpu.MemPort
 	var dirSys *protocol.System
@@ -215,7 +169,6 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 			preds = wrapTraced(preds, opt.Tracer, s)
 		}
 		dirSys = protocol.New(s, opt.Machine, preds)
-		dirSys.Fast = fast
 		if opt.Predictors != nil && opt.Predictors[0] != nil {
 			res.Predictor = opt.Predictors[0].Name()
 		}
@@ -224,7 +177,6 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 		}
 	case Broadcast:
 		snpSys = snoop.New(s, opt.Machine)
-		snpSys.Fast = fast
 		res.Predictor = "broadcast"
 		for _, node := range snpSys.Nodes {
 			ports = append(ports, snoopPort{node})
@@ -253,9 +205,6 @@ func Run(prog *workload.Program, opt Options) (*Result, error) {
 	cores := make([]*cpu.Core, n)
 	for i := 0; i < n; i++ {
 		cores[i] = cpu.New(i, s, ports[i], co, prog.Threads[i], opt.IssueWidth, func() { finished++ })
-		if fast {
-			cores[i].EnableFast()
-		}
 	}
 	for _, c := range cores {
 		c.Start()
@@ -311,8 +260,5 @@ type snoopPort struct{ n *snoop.Node }
 
 func (p snoopPort) Access(pc uint64, addr arch.Addr, write bool, done func()) {
 	p.n.Access(pc, addr, write, done)
-}
-func (p snoopPort) AccessFast(pc uint64, addr arch.Addr, write bool) (event.Time, bool) {
-	return p.n.AccessFast(pc, addr, write)
 }
 func (p snoopPort) OnSync(predictor.SyncKind, uint64) {}

@@ -56,15 +56,6 @@ type System struct {
 	// interconnect: the head transaction owns the line.
 	arb map[arch.LineAddr][]*txn
 
-	// Fast selects the fast functional mode (DESIGN.md §15): each miss's
-	// broadcast transaction executes as one atomic virtual-time cascade at
-	// a single real-clock instant with contention-free NoC latencies. The
-	// transaction is atomic, so the per-line arbitration queue is trivially
-	// empty and is skipped; only the CPU-visible completion rides the real
-	// engine.
-	Fast bool
-	casc event.Cascade
-
 	// obs, when set, feeds the run-time metrics layer (nil by default).
 	obs *Obs
 
@@ -72,38 +63,6 @@ type System struct {
 	// broadcast fans out to Nodes-1 responders, so the response path is the
 	// package's hottest allocation site.
 	respPool []*snoopResp
-
-	// deliverPool recycles the fast-mode broadcast-delivery bindings (see
-	// snoopDeliver); same fan-out as respPool.
-	deliverPool []*snoopDeliver
-}
-
-// snoopDeliver is the pooled binding of one fast-mode broadcast delivery:
-// the snoop request's arrival at one remote tile, scheduled on the cascade.
-//
-//spcoh:pooled
-type snoopDeliver struct {
-	n *Node // the probed tile
-	t *txn
-}
-
-func (s *System) getSnoopDeliver(n *Node, t *txn) *snoopDeliver {
-	if k := len(s.deliverPool); k > 0 {
-		d := s.deliverPool[k-1]
-		s.deliverPool = s.deliverPool[:k-1]
-		d.n, d.t = n, t
-		return d
-	}
-	return &snoopDeliver{n: n, t: t}
-}
-
-//spcoh:noalloc
-func fireSnoopDeliver(a any) {
-	d := a.(*snoopDeliver)
-	n, t := d.n, d.t
-	d.n, d.t = nil, nil
-	n.sys.deliverPool = append(n.sys.deliverPool, d)
-	n.snoop(t)
 }
 
 // snoopResp is the pooled binding of one snoop response: the responder's
@@ -125,12 +84,6 @@ type snoopResp struct {
 func respLaunch(a any) {
 	r := a.(*snoopResp)
 	s := r.n.sys
-	if s.Fast {
-		r.sent = s.casc.Now()
-		lat := s.Net.FastSend(r.n.self, r.t.node.self, r.bytes)
-		s.casc.After(lat, respArrive, r)
-		return
-	}
 	r.sent = s.Sim.Now()
 	s.Net.SendFn(r.n.self, r.t.node.self, r.bytes, respArrive, r)
 }
@@ -146,7 +99,7 @@ func respArrive(a any) {
 	r.n, r.t = nil, nil
 	s.respPool = append(s.respPool, r)
 	if s.obs != nil && s.obs.Response != nil {
-		s.obs.Response(s.clockNow() - sent)
+		s.obs.Response(s.Sim.Now() - sent)
 	}
 	t.responses++
 	if had {
@@ -242,17 +195,6 @@ func (s *System) Stats() Stats {
 // NetStats returns interconnect statistics.
 func (s *System) NetStats() noc.Stats { return s.Net.Stats() }
 
-// clockNow returns the protocol-visible clock: the cascade's virtual time
-// while a fast-mode transaction is draining, the engine clock otherwise.
-//
-//spcoh:noalloc
-func (s *System) clockNow() event.Time {
-	if s.casc.Active() {
-		return s.casc.Now()
-	}
-	return s.Sim.Now()
-}
-
 // Outstanding reports in-flight transactions (quiescence check).
 func (s *System) Outstanding() int { return len(s.arb) }
 
@@ -300,40 +242,6 @@ func (n *Node) Access(pc uint64, addr arch.Addr, write bool, done func()) {
 	n.miss(line, predictor.WriteMiss, done)
 }
 
-// AccessFast is the fast-mode hit path: it resolves L1/L2 hits by returning
-// the access latency for the core to accumulate on its own virtual clock,
-// without touching the event queue. A miss returns ok=false with the caches
-// untouched; the caller re-issues the access through Access. Classification
-// and LRU movement are identical to Access (see protocol.Node.AccessFast).
-func (n *Node) AccessFast(pc uint64, addr arch.Addr, write bool) (lat event.Time, ok bool) {
-	line := addr.Line()
-	cfg := n.sys.Cfg
-	if !write {
-		if n.l1.Lookup(line) != nil {
-			n.stats.Accesses++
-			n.stats.L1Hits++
-			return cfg.L1Latency, true
-		}
-		if n.l2.Lookup(line) != nil {
-			n.stats.Accesses++
-			n.stats.L2Hits++
-			n.l1.Insert(line, cache.Shared)
-			return cfg.L1Latency + cfg.L2HitLatency(), true
-		}
-		return 0, false
-	}
-	l := n.l2.Peek(line)
-	if l == nil || (l.State != cache.Modified && l.State != cache.Exclusive) {
-		return 0, false
-	}
-	n.l2.Lookup(line)
-	l.State = cache.Modified
-	n.stats.Accesses++
-	n.stats.L2Hits++
-	n.l1.Insert(line, cache.Shared)
-	return cfg.L1Latency + cfg.L2HitLatency(), true
-}
-
 func (n *Node) miss(line arch.LineAddr, kind predictor.MissKind, done func()) {
 	// A miss on this line is already outstanding here: retry afterwards.
 	if prev, ok := n.outstanding[line]; ok {
@@ -354,15 +262,6 @@ func (n *Node) miss(line arch.LineAddr, kind predictor.MissKind, done func()) {
 func arbJoin(a any) {
 	t := a.(*txn)
 	n := t.node
-	if n.sys.Fast {
-		// Atomic transaction: the line cannot be contended mid-flight, so
-		// arbitration is trivially empty and skipped (complete's release
-		// code is a no-op on an absent queue).
-		n.sys.casc.Begin(n.sys.Sim.Now())
-		n.broadcast(t)
-		n.sys.casc.Drain()
-		return
-	}
 	q := n.sys.arb[t.line]
 	n.sys.arb[t.line] = append(q, t)
 	if len(q) == 0 { // we are the head: go
@@ -377,19 +276,6 @@ func (n *Node) broadcast(t *txn) {
 	s := n.sys
 	t.expected = s.Cfg.Nodes - 1
 	dsts := arch.FullSet(s.Cfg.Nodes).Remove(n.self)
-	if s.Fast {
-		base := s.casc.Now()
-		s.Net.FastBroadcast(n.self, dsts, protocol.ControlBytes, func(d arch.NodeID, lat event.Time) {
-			if s.obs != nil && s.obs.Request != nil {
-				s.obs.Request(lat)
-			}
-			s.casc.At(base+lat, fireSnoopDeliver, s.getSnoopDeliver(s.Nodes[d], t))
-		})
-		if t.kind != predictor.UpgradeMiss && s.Home(t.line) == n.self {
-			s.casc.After(s.Cfg.MemLatency, localMemFetch, t)
-		}
-		return
-	}
 	sent := s.Sim.Now()
 	s.Net.Broadcast(n.self, dsts, protocol.ControlBytes, func(d arch.NodeID) {
 		if s.obs != nil && s.obs.Request != nil {
@@ -426,10 +312,6 @@ func (n *Node) speculativeFetch(t *txn) {
 	}
 	t.memRequested = true
 	t.home = n
-	if n.sys.Fast {
-		n.sys.casc.After(n.sys.Cfg.MemLatency, specFetchLaunch, t)
-		return
-	}
 	n.sys.Sim.AfterFn(n.sys.Cfg.MemLatency, specFetchLaunch, t)
 }
 
@@ -443,12 +325,6 @@ func specFetchLaunch(a any) {
 		return // cancelled: a cache answered first
 	}
 	s := t.home.sys
-	if s.Fast {
-		t.memSent = s.casc.Now()
-		lat := s.Net.FastSend(t.home.self, t.node.self, protocol.DataBytes)
-		s.casc.After(lat, specDataArrive, t)
-		return
-	}
 	t.memSent = s.Sim.Now()
 	s.Net.SendFn(t.home.self, t.node.self, protocol.DataBytes, specDataArrive, t)
 }
@@ -460,7 +336,7 @@ func specDataArrive(a any) {
 	t := a.(*txn)
 	s := t.node.sys
 	if s.obs != nil && s.obs.Response != nil {
-		s.obs.Response(s.clockNow() - t.memSent)
+		s.obs.Response(s.Sim.Now() - t.memSent)
 	}
 	t.memData = true
 	t.node.complete(t)
@@ -491,21 +367,13 @@ func (n *Node) snoop(t *txn) {
 		} else {
 			r = &snoopResp{n: n, t: t, bytes: bytes, had: had, data: data}
 		}
-		if s.Fast {
-			s.casc.After(lat, respLaunch, r)
-			return
-		}
 		s.Sim.AfterFn(lat, respLaunch, r)
 	}
 	if t.kind == predictor.ReadMiss {
 		if st.CanForward() {
 			if st == cache.Modified {
 				// Memory update on M->S (data to home).
-				if s.Fast {
-					s.Net.FastSend(n.self, s.Home(t.line), protocol.DataBytes)
-				} else {
-					s.Net.Send(n.self, s.Home(t.line), protocol.DataBytes, func() {})
-				}
+				s.Net.Send(n.self, s.Home(t.line), protocol.DataBytes, func() {})
 			}
 			n.l2.SetState(t.line, cache.Shared)
 			respond(s.Cfg.L2HitLatency(), protocol.DataBytes, true, true)
@@ -551,7 +419,7 @@ func (n *Node) complete(t *txn) {
 	t.done = nil
 	delete(n.outstanding, t.line)
 
-	cpuLat := n.sys.clockNow() - t.start
+	cpuLat := n.sys.Sim.Now() - t.start
 	n.stats.MissLatencySum += uint64(cpuLat)
 	if t.anyShared {
 		n.stats.Communicating++
@@ -587,13 +455,7 @@ func (n *Node) complete(t *txn) {
 		next.node.broadcast(next)
 	}
 
-	if n.sys.Fast {
-		// The cascade resolves the transaction at one real instant;
-		// surface the completion to the CPU at its virtual time.
-		n.sys.Sim.At(t.start+cpuLat, done)
-	} else {
-		done()
-	}
+	done()
 	for _, w := range t.waiters {
 		w()
 	}
@@ -606,11 +468,7 @@ func (n *Node) fill(l arch.LineAddr, st cache.State) {
 		n.l1.Invalidate(v.Addr)
 		if v.State == cache.Modified {
 			n.stats.Writebacks++
-			if n.sys.Fast {
-				n.sys.Net.FastSend(n.self, n.sys.Home(v.Addr), protocol.DataBytes)
-			} else {
-				n.sys.Net.Send(n.self, n.sys.Home(v.Addr), protocol.DataBytes, func() {})
-			}
+			n.sys.Net.Send(n.self, n.sys.Home(v.Addr), protocol.DataBytes, func() {})
 		}
 	}
 }

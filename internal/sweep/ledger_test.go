@@ -96,8 +96,8 @@ func TestSweepRegistryPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range []Matrix{a, b} {
-		got, ok := store2.Sweep(m.Digest())
-		if !ok {
+		got, ok, err := store2.Sweep(m.Digest())
+		if err != nil || !ok {
 			t.Fatalf("sweep %.12s lost on reopen", m.Digest())
 		}
 		if got.Digest() != m.Digest() {
@@ -112,7 +112,7 @@ func TestSweepRegistryPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, ok := store3.Matrix(); !ok || m.Digest() != a.Digest() {
+	if m, ok, err := store3.Matrix(); err != nil || !ok || m.Digest() != a.Digest() {
 		t.Fatal("local matrix field clobbered by the sweep registry")
 	}
 	if len(store3.SweepIDs()) != 2 {

@@ -122,14 +122,28 @@ func (s *Store) SetMatrix(m Matrix) error {
 	return s.saveLocked()
 }
 
-// Matrix returns the recorded sweep matrix, if any.
-func (s *Store) Matrix() (Matrix, bool) {
+// Matrix returns the recorded sweep matrix, if any. It errors when the
+// matrix no longer expands to the recorded matrix digest (see
+// checkMatrixDigest).
+func (s *Store) Matrix() (Matrix, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.man.Matrix == nil {
-		return Matrix{}, false
+		return Matrix{}, false, nil
 	}
-	return *s.man.Matrix, true
+	m := *s.man.Matrix
+	return m, true, checkMatrixDigest(m, s.man.MatrixDigest)
+}
+
+// checkMatrixDigest verifies that a matrix read back from the manifest
+// still has the digest it was recorded under. Decoding drops fields this
+// version does not know, which can change the cells the matrix expands
+// to; such a manifest is refused rather than resumed as a different sweep.
+func checkMatrixDigest(m Matrix, recorded string) error {
+	if got := m.Digest(); got != recorded {
+		return fmt.Errorf("sweep: manifest matrix now has digest %s but was recorded as %s; it was written by an incompatible version", got, recorded)
+	}
+	return nil
 }
 
 // Lookup returns the stored result for j, verifying the artifact against
@@ -217,15 +231,16 @@ func (s *Store) SweepIDs() []string {
 	return detutil.SortedKeys(s.man.Sweeps)
 }
 
-// Sweep returns the matrix registered under id.
-func (s *Store) Sweep(id string) (Matrix, bool) {
+// Sweep returns the matrix registered under id. It errors when the matrix
+// no longer has digest id (see checkMatrixDigest).
+func (s *Store) Sweep(id string) (Matrix, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m, ok := s.man.Sweeps[id]
 	if !ok {
-		return Matrix{}, false
+		return Matrix{}, false, nil
 	}
-	return *m, true
+	return *m, true, checkMatrixDigest(*m, id)
 }
 
 // Completed returns the keys of all checkpointed jobs, sorted.

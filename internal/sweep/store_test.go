@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -63,9 +64,9 @@ func TestStorePersistsAcrossOpen(t *testing.T) {
 	if !reopened.HasManifestFile() {
 		t.Fatal("manifest not persisted")
 	}
-	got, ok := reopened.Matrix()
-	if !ok || got.Digest() != m.Digest() {
-		t.Fatalf("matrix not recovered: ok=%v digest=%s want %s", ok, got.Digest(), m.Digest())
+	got, ok, err := reopened.Matrix()
+	if err != nil || !ok || got.Digest() != m.Digest() {
+		t.Fatalf("matrix not recovered: ok=%v err=%v digest=%s want %s", ok, err, got.Digest(), m.Digest())
 	}
 	if _, ok := reopened.Lookup(j); !ok {
 		t.Fatal("completed job lost across reopen")
@@ -273,4 +274,60 @@ func TestResumeRecomputesNothing(t *testing.T) {
 	if fresh.String() != resumed.String() {
 		t.Fatal("resumed merged output differs from a from-scratch run")
 	}
+}
+
+// staleFastManifest is a manifest written by a version that still had the
+// fast simulation mode: its matrix carries "mode":"fast" and is recorded
+// (as the local matrix and as a registered sweep) under the digest that
+// version computed for it.
+const (
+	staleFastDigest   = "2bcdc7afb60731a6b8c090fe8266e2defb09512867f75483f1aede6c1df0fd7d"
+	staleDecodeDigest = "b2977171443b41f7a024e158170323652ba254ed20e99afffed0701e9663dcee"
+	staleFastManifest = `{
+  "version": 1,
+  "matrix_digest": "` + staleFastDigest + `",
+  "matrix": {"benches": ["ocean"], "kinds": ["sp"], "seeds": [42], "scales": [0.25], "threads": 16, "mode": "fast"},
+  "jobs": {},
+  "sweeps": {
+    "` + staleFastDigest + `": {"benches": ["ocean"], "kinds": ["sp"], "seeds": [42], "scales": [0.25], "threads": 16, "mode": "fast"}
+  }
+}`
+)
+
+// TestStoreRefusesStaleMatrix: a recorded matrix that no longer expands to
+// its recorded digest is refused, with both digests named, instead of being
+// resumed as a different (here: detailed) sweep.
+func TestStoreRefusesStaleMatrix(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(staleFastManifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: stale fast-mode matrix accepted", what)
+		}
+		for _, d := range []string{staleFastDigest, staleDecodeDigest} {
+			if !strings.Contains(err.Error(), d) {
+				t.Errorf("%s: error %q does not name digest %s", what, err, d)
+			}
+		}
+	}
+	_, ok, err := store.Matrix()
+	if !ok {
+		t.Fatal("Matrix: recorded matrix not found")
+	}
+	names("Matrix", err)
+	if ids := store.SweepIDs(); len(ids) != 1 || ids[0] != staleFastDigest {
+		t.Fatalf("SweepIDs = %v", ids)
+	}
+	_, ok, err = store.Sweep(staleFastDigest)
+	if !ok {
+		t.Fatal("Sweep: registered sweep not found")
+	}
+	names("Sweep", err)
 }

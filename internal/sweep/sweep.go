@@ -64,9 +64,7 @@ type Job struct {
 // "ocean/sp/t16/x0.25/s42". Reports and merged outputs are ordered by
 // this key. Metrics-enabled cells append "/m<epoch>"; scenario-spec cells
 // append "/g<digest prefix>" (distinct spec contents must not collide even
-// if their names do); fast-mode cells append "/fast" (the two fidelities
-// of one cell are distinct jobs with distinct artifacts — detailed cells
-// keep their legacy keys).
+// if their names do).
 func (j Job) Key() string {
 	key := j.Bench + "/" + j.Kind +
 		"/t" + strconv.Itoa(j.Threads) +
@@ -81,9 +79,6 @@ func (j Job) Key() string {
 			d = d[:12]
 		}
 		key += "/g" + d
-	}
-	if j.FastMode() {
-		key += "/fast"
 	}
 	return key
 }
@@ -127,12 +122,6 @@ type Matrix struct {
 
 	// MetricsEpoch applies to every cell of the matrix (0 = no metrics).
 	MetricsEpoch uint64 `json:"metrics_epoch,omitempty"`
-
-	// Mode applies to every cell of the matrix: "" or "detailed" for the
-	// cycle-level model, "fast" for the fast functional model. The mode
-	// joins each cell's key and digest, so the two fidelities of one
-	// matrix never collide in the artifact store.
-	Mode string `json:"mode,omitempty"`
 }
 
 // Jobs expands the cross product into jobs sorted by Key. Cells whose
@@ -147,17 +136,10 @@ func (m Matrix) Jobs() []Job {
 			jobs = append(jobs, j)
 		}
 	}
-	// "detailed" normalizes to "" so a matrix spelling the default mode
-	// explicitly expands to the same cells (and artifact addresses) as one
-	// that omits it.
-	mode := m.Mode
-	if mode == "detailed" {
-		mode = ""
-	}
 	for _, k := range m.Kinds {
 		for _, sc := range m.Scales {
 			for _, sd := range m.Seeds {
-				rc := runcfg.RunConfig{Threads: m.Threads, Scale: sc, Seed: sd, MetricsEpoch: m.MetricsEpoch, Mode: mode}
+				rc := runcfg.RunConfig{Threads: m.Threads, Scale: sc, Seed: sd, MetricsEpoch: m.MetricsEpoch}
 				for _, b := range m.Benches {
 					add(Job{Bench: b, Kind: k, RunConfig: rc})
 				}

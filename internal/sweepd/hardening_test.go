@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"spcoh/internal/sweep"
 )
 
 // postRaw posts raw bytes at the server, optionally with a bearer token.
@@ -122,29 +124,38 @@ func TestTokenAuth(t *testing.T) {
 	}
 }
 
-// TestModeValidation: a matrix with an unknown mode is rejected at
-// submit, before any job is registered.
+// TestModeValidation: a matrix naming the removed "mode" field is refused
+// at submit with a 400 that names the field, before any job is registered
+// — decoding it leniently would silently run a fast-mode request as a
+// detailed sweep. The in-repo client's own submissions still pass.
 func TestModeValidation(t *testing.T) {
 	_, c, stop := startServer(t, t.TempDir(), Options{})
 	defer stop()
 
-	m := testServerMatrix()
-	m.Mode = "warp"
-	if _, err := c.Submit(&SubmitRequest{Matrix: m}); err == nil || !strings.Contains(err.Error(), "mode") {
-		t.Fatalf("bad mode accepted: err=%v", err)
+	body := []byte(`{"matrix":{"benches":["x264"],"kinds":["sp"],"seeds":[42],"scales":[0.25],"threads":16,"mode":"fast"}}`)
+	resp := postRaw(t, c, "/sweeps", "", body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("fast-mode submit: got %d, want 400", resp.StatusCode)
 	}
-	m.Mode = "fast"
-	sub, err := c.Submit(&SubmitRequest{Matrix: m})
-	if err != nil {
-		t.Fatalf("fast-mode submit: %v", err)
+	if msg := decodeErrorBody(t, resp); !strings.Contains(msg, `"mode"`) {
+		t.Errorf("400 body %q does not name the unknown field", msg)
 	}
-	st, err := c.Status(sub.SweepID)
+	list, err := c.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range st.Jobs {
-		if !strings.HasSuffix(j.Key, "/fast") {
-			t.Errorf("fast-matrix job key %q lacks /fast suffix", j.Key)
+	if len(list.Sweeps) != 0 {
+		t.Fatalf("rejected submit registered sweeps: %+v", list.Sweeps)
+	}
+
+	m := testServerMatrix()
+	m.MetricsEpoch = 1000
+	for _, m := range []sweep.Matrix{testServerMatrix(), m} {
+		if _, err := c.Submit(&SubmitRequest{Matrix: m}); err != nil {
+			t.Fatalf("client submit rejected: %v", err)
 		}
+	}
+	if list, err = c.List(); err != nil || len(list.Sweeps) != 2 {
+		t.Fatalf("client submits not registered: %+v, %v", list, err)
 	}
 }

@@ -130,7 +130,10 @@ func New(opt Options) (*Server, error) {
 	}
 	s.routes()
 	for _, id := range s.store.SweepIDs() {
-		m, ok := s.store.Sweep(id)
+		m, ok, err := s.store.Sweep(id)
+		if err != nil {
+			return nil, fmt.Errorf("sweepd: re-adopt sweep: %w", err)
+		}
 		if !ok {
 			continue
 		}
@@ -460,11 +463,6 @@ func validateMatrix(m sweep.Matrix) error {
 	if m.Threads < 1 {
 		return fmt.Errorf("threads %d < 1", m.Threads)
 	}
-	switch m.Mode {
-	case "", "detailed", "fast":
-	default:
-		return fmt.Errorf("unknown mode %q (want detailed or fast)", m.Mode)
-	}
 	return nil
 }
 
@@ -518,8 +516,13 @@ func (s *Server) routes() {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// Unknown fields are refused, not ignored: a matrix field this server
+	// does not know would otherwise be dropped silently and the sweep run
+	// as a different one.
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeDecodeError(w, err)
 		return
 	}

@@ -214,6 +214,36 @@ func TestServerRestartResumesFromStore(t *testing.T) {
 	_ = jobs
 }
 
+// TestRestartRefusesStaleSweep: a registered sweep whose matrix no longer
+// has the digest it is registered under — here one recorded with the
+// removed fast mode — stops the server from starting, with both digests in
+// the error, instead of being re-adopted as a detailed sweep.
+func TestRestartRefusesStaleSweep(t *testing.T) {
+	const (
+		recorded = "2bcdc7afb60731a6b8c090fe8266e2defb09512867f75483f1aede6c1df0fd7d"
+		decoded  = "b2977171443b41f7a024e158170323652ba254ed20e99afffed0701e9663dcee"
+		fast     = `{"benches":["ocean"],"kinds":["sp"],"seeds":[42],"scales":[0.25],"threads":16,"mode":"fast"}`
+	)
+	dir := t.TempDir()
+	man := `{"version":1,"jobs":{},"sweeps":{"` + recorded + `":` + fast + `}}`
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(man), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := sweep.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(Options{Store: store})
+	if err == nil {
+		t.Fatal("server re-adopted a stale fast-mode sweep")
+	}
+	for _, d := range []string{recorded, decoded} {
+		if !strings.Contains(err.Error(), d) {
+			t.Errorf("error %q does not name digest %s", err, d)
+		}
+	}
+}
+
 // TestDuplicateCompletionOverHTTP expires a lease with a fake clock,
 // lets a second worker complete the job, then delivers the first
 // worker's late result: first write wins, the second is a no-op, and the

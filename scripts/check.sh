@@ -27,10 +27,6 @@
 #                 `spsweep work` processes, merged results byte-compared
 #                 against a local `spsweep run -jobs 1` of the same matrix;
 #                 a tokenless request must bounce with 401
-#   xval smoke    two-speed cross-validation end to end: a tiny matrix in
-#                 both detailed and fast mode, the divergence report
-#                 (-no-timing) byte-compared between a fresh parallel run
-#                 and a fully-cached serial rerun
 #   spscen smoke  scenario layer end to end: the embedded profile specs
 #                 validate and build, a 50-seed generator fuzz sweep
 #                 (validity + determinism + buildability), and a generated
@@ -195,30 +191,6 @@ cmp "$sweepdir/results.json" "$sweepdir/local.json" || {
 kill "$daemon"
 wait "$daemon" 2>/dev/null || true
 daemon=""
-
-echo "== xval smoke (two-speed cross-validation determinism)"
-"$sweepdir/spsweep" xval -bench x264,streamcluster -kinds dir,sp \
-    -scales 0.05 -jobs 2 -dir "$sweepdir/xvalstore" \
-    -out "$sweepdir/xval1.json" -no-timing \
-    > /dev/null 2> "$sweepdir/xval1.log"
-"$sweepdir/spsweep" xval -bench x264,streamcluster -kinds dir,sp \
-    -scales 0.05 -jobs 1 -dir "$sweepdir/xvalstore" \
-    -out "$sweepdir/xval2.json" -no-timing \
-    > "$sweepdir/xval2.txt" 2> "$sweepdir/xval2.log"
-cmp "$sweepdir/xval1.json" "$sweepdir/xval2.json" || {
-    echo "xval: divergence report differs between a fresh parallel run and a cached serial rerun" >&2
-    exit 1
-}
-grep -q "cached" "$sweepdir/xval2.log" || {
-    echo "xval: second run did not recall cells from the store" >&2
-    cat "$sweepdir/xval2.log" >&2
-    exit 1
-}
-grep -q "cells: 4" "$sweepdir/xval2.txt" || {
-    echo "xval: report does not cover the matrix:" >&2
-    cat "$sweepdir/xval2.txt" >&2
-    exit 1
-}
 
 echo "== spscen smoke (builtin specs / generator fuzz / spec replay determinism)"
 go build -o "$sweepdir/spscen" ./cmd/spscen
