@@ -8,7 +8,7 @@ import (
 	"sort"
 	"time"
 
-	"spcoh/internal/core"
+	"spcoh/internal/experiments"
 	"spcoh/internal/sim"
 	"spcoh/internal/workload"
 )
@@ -62,20 +62,6 @@ var coreCells = []struct{ bench, kind string }{
 	{"streamcluster", "bcast"},
 }
 
-func coreOptions(kind string) (sim.Options, error) {
-	opt := sim.DefaultOptions()
-	switch kind {
-	case "dir":
-	case "sp":
-		opt.Predictors = core.NewSystem(core.DefaultConfig(opt.Machine.Nodes))
-	case "bcast":
-		opt.Protocol = sim.Broadcast
-	default:
-		return opt, fmt.Errorf("core-bench: unknown kind %q", kind)
-	}
-	return opt, nil
-}
-
 // measureCell times runs repetitions of one cell and keeps the fastest
 // (wall noise only ever slows a run down).
 func measureCell(bench, kind string, runs int, scale float64, seed int64) (coreCell, error) {
@@ -83,10 +69,14 @@ func measureCell(bench, kind string, runs int, scale float64, seed int64) (coreC
 	if err != nil {
 		return coreCell{}, err
 	}
-	prog := p.Build(16, scale, seed)
+	prog, err := p.Program(16, scale, seed)
+	if err != nil {
+		return coreCell{}, err
+	}
 	cell := coreCell{Bench: bench, Kind: kind}
 	for i := 0; i < runs; i++ {
-		opt, err := coreOptions(kind)
+		// Fresh options per run: predictors carry state.
+		opt, err := experiments.Options(16, kind)
 		if err != nil {
 			return coreCell{}, err
 		}

@@ -16,7 +16,7 @@ import (
 	"runtime"
 	"time"
 
-	"spcoh/internal/protocol"
+	"spcoh/internal/experiments"
 	"spcoh/internal/sim"
 	"spcoh/internal/workload"
 )
@@ -65,19 +65,17 @@ func measureScaleCell(bench string, nodes, runs int, scale float64, seed int64) 
 	if err != nil {
 		return scaleCell{}, err
 	}
-	m, err := protocol.ConfigFor(nodes)
+	opt, err := experiments.Options(nodes, "dir")
 	if err != nil {
 		return scaleCell{}, fmt.Errorf("scale-bench: %w", err)
 	}
-	prog := p.Build(nodes, scale, seed)
-	side := 1
-	for side*side < nodes {
-		side++
+	prog, err := p.Program(nodes, scale, seed)
+	if err != nil {
+		return scaleCell{}, err
 	}
-	cell := scaleCell{Nodes: nodes, Mesh: fmt.Sprintf("%dx%d", side, side)}
+	noc := opt.Machine.NoC
+	cell := scaleCell{Nodes: nodes, Mesh: fmt.Sprintf("%dx%d", noc.Width, noc.Height)}
 	for i := 0; i < runs; i++ {
-		opt := sim.DefaultOptions()
-		opt.Machine = m
 		start := time.Now()
 		res, err := sim.Run(prog, opt)
 		wall := time.Since(start)

@@ -30,7 +30,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	prog := prof.Build(16, *scale, *seed)
+	prog, err := prof.Program(16, *scale, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	col := &trace.Collector{}
 	if *out != "" {

@@ -1,13 +1,17 @@
-// Command spsim runs one benchmark on one protocol/predictor configuration
-// and prints the measurements.
+// Command spsim runs benchmarks under one coherence configuration and
+// prints the measurements.
 //
 // Usage:
 //
-//	spsim -bench ocean -pred sp [-scale 0.2] [-seed 42] [-protocol dir|bcast]
-//	spsim -all -pred sp
+//	spsim -bench ocean -pred sp [-scale 0.2] [-seed 42] [-threads 16]
+//	spsim -all -pred bcast
 //	spsim -spec scenario.json -pred sp
 //	spscen gen -seed 7 | spsim -spec - -pred sp
 //	spsim -bench ocean -pred sp -metrics-epoch 10000 -metrics-out series.json
+//
+// -pred takes any configuration name of experiments.Kinds() (see -h):
+// dir, the baseline directory, by default; bcast for broadcast snooping.
+// An unknown name or an unsupported -threads exits 2 before anything runs.
 //
 // With -spec the workload comes from a declarative scenario file
 // (internal/scenario; "-" reads stdin) instead of a built-in profile.
@@ -25,13 +29,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
-	"spcoh/internal/arch"
-	"spcoh/internal/core"
-	"spcoh/internal/event"
+	"spcoh/internal/experiments"
 	"spcoh/internal/metrics"
-	"spcoh/internal/predictor"
-	"spcoh/internal/protocol"
 	"spcoh/internal/scenario"
 	"spcoh/internal/sim"
 	"spcoh/internal/stats"
@@ -64,42 +65,11 @@ func writeSeries(path string, s *metrics.Series) error {
 	return f.Close()
 }
 
-func buildPredictors(kind string, nodes int) ([]predictor.Predictor, error) {
-	switch kind {
-	case "", "none", "dir":
-		return nil, nil
-	case "sp":
-		return core.NewSystem(core.DefaultConfig(nodes)), nil
-	case "spfilter":
-		preds := core.NewSystem(core.DefaultConfig(nodes))
-		for i := range preds {
-			preds[i] = predictor.NewRegionFilter(preds[i])
-		}
-		return preds, nil
-	case "addr", "inst", "uni":
-		preds := make([]predictor.Predictor, nodes)
-		for i := range preds {
-			switch kind {
-			case "addr":
-				preds[i] = predictor.NewAddr(arch.NodeID(i), nodes)
-			case "inst":
-				preds[i] = predictor.NewInst(arch.NodeID(i), nodes)
-			case "uni":
-				preds[i] = predictor.NewUni(arch.NodeID(i), nodes)
-			}
-		}
-		return preds, nil
-	default:
-		return nil, fmt.Errorf("unknown predictor %q (none|sp|spfilter|addr|inst|uni)", kind)
-	}
-}
-
 func main() {
 	bench := flag.String("bench", "ocean", "benchmark name")
 	all := flag.Bool("all", false, "run every benchmark")
 	specPath := flag.String("spec", "", `scenario spec file instead of a built-in benchmark ("-" = stdin)`)
-	pred := flag.String("pred", "none", "predictor: none|sp|spfilter|addr|inst|uni")
-	proto := flag.String("protocol", "dir", "protocol: dir|bcast")
+	pred := flag.String("pred", "dir", "configuration: "+strings.Join(experiments.Kinds(), "|"))
 	scale := flag.Float64("scale", 0.2, "workload scale factor")
 	seed := flag.Int64("seed", 42, "workload build seed")
 	threads := flag.Int("threads", 16, "thread/node count (a perfect-square mesh: 16, 64, 256, ...)")
@@ -145,13 +115,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	machine := protocol.DefaultConfig()
-	if *threads != machine.Nodes {
-		var err error
-		if machine, err = protocol.ConfigFor(*threads); err != nil {
-			fmt.Fprintln(os.Stderr, "spsim:", err)
-			os.Exit(2)
-		}
+	cfg := experiments.Config{Threads: *threads, Scale: *scale, Seed: *seed, MetricsEpoch: *metricsEpoch}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "spsim:", err)
+		os.Exit(2)
+	}
+	if err := experiments.CheckKind(*pred); err != nil {
+		fmt.Fprintln(os.Stderr, "spsim:", err)
+		os.Exit(2)
 	}
 
 	var spec *scenario.Spec
@@ -175,7 +146,7 @@ func main() {
 		names = []string{spec.Name}
 	}
 
-	tb := stats.NewTable("spsim: "+*proto+"/"+*pred,
+	tb := stats.NewTable("spsim: "+*pred,
 		"benchmark", "cycles", "misses", "comm%", "missLat", "commLat", "nonCommLat",
 		"acc%", "predTgt", "actTgt", "netKB", "energy")
 	// With -all, a bad benchmark is recorded and the rest still run; the
@@ -190,34 +161,13 @@ func main() {
 		failures = append(failures, fmt.Sprintf("%s: %v", name, err))
 	}
 	for _, name := range names {
-		var prog *workload.Program
+		var res *sim.Result
 		var err error
 		if spec != nil {
-			prog, err = workload.FromSpec(spec, *threads, *scale, *seed)
+			res, err = experiments.RunSpecCell(cfg, spec, *pred)
 		} else {
-			var p workload.Profile
-			if p, err = workload.ByName(name); err == nil {
-				prog, err = p.Program(*threads, *scale, *seed)
-			}
+			res, err = experiments.RunCell(cfg, name, *pred)
 		}
-		if err != nil {
-			fail(name, err)
-			continue
-		}
-		opt := sim.DefaultOptions()
-		opt.Machine = machine
-		if *proto == "bcast" {
-			opt.Protocol = sim.Broadcast
-		} else {
-			opt.Predictors, err = buildPredictors(*pred, *threads)
-			if err != nil {
-				// A bad predictor name fails every benchmark: always fatal.
-				fmt.Fprintln(os.Stderr, "spsim:", err)
-				os.Exit(1)
-			}
-		}
-		opt.MetricsEpoch = event.Time(*metricsEpoch)
-		res, err := sim.Run(prog, opt)
 		if err != nil {
 			fail(name, err)
 			continue
@@ -244,23 +194,11 @@ func main() {
 
 func row(tb *stats.Table, name string, r *sim.Result) {
 	n := r.Nodes
-	commLat, nonCommLat := 0.0, 0.0
-	acc := 0.0
-	predTgt, actTgt := 0.0, 0.0
+	var commLat, nonCommLat, acc, predTgt, actTgt float64
 	if r.Protocol == sim.Directory {
-		if n.Communicating > 0 {
-			commLat = float64(n.CommLatencySum) / float64(n.Communicating)
-			acc = 100 * n.Accuracy()
-		}
-		if n.NonCommunicating > 0 {
-			nonCommLat = float64(n.NonCommLatencySum) / float64(n.NonCommunicating)
-		}
-		if n.Predicted > 0 {
-			predTgt = float64(n.PredTargets) / float64(n.Predicted)
-		}
-		if n.Misses > 0 {
-			actTgt = float64(n.ActualTargets) / float64(n.Misses)
-		}
+		commLat, nonCommLat = n.AvgCommLatency(), n.AvgNonCommLatency()
+		acc = 100 * n.Accuracy()
+		predTgt, actTgt = n.AvgPredictedSet(), n.AvgActualSet()
 	}
 	tb.AddRowf(name, uint64(r.Cycles), r.Misses(), 100*r.CommRatio(),
 		r.AvgMissLatency(), commLat, nonCommLat, acc, predTgt, actTgt,

@@ -174,7 +174,10 @@ func runBench(bench string, scale float64, epoch uint64, out string) error {
 	}
 	const seed, runs = 42, 9
 	run := func(metricsEpoch uint64) (*sim.Result, time.Duration, error) {
-		prog := prof.Build(16, scale, seed)
+		prog, err := prof.Program(16, scale, seed)
+		if err != nil {
+			return nil, 0, err
+		}
 		opt := sim.DefaultOptions()
 		opt.MetricsEpoch = event.Time(metricsEpoch)
 		start := time.Now()

@@ -126,11 +126,6 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 		benches = nil
 	default:
 		benches = splitList(*m.bench)
-		for _, b := range benches {
-			if _, err := workload.ByName(b); err != nil {
-				return sweep.Matrix{}, err
-			}
-		}
 	}
 	// Spec references resolve at flag-parse time: the digest computed here
 	// is the cell identity, and execution re-verifies the file against it.
@@ -142,9 +137,6 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 		}
 		specRefs = append(specRefs, sweep.SpecRef{Name: s.Name, Path: path, Digest: s.Digest()})
 	}
-	if len(benches) == 0 && len(specRefs) == 0 {
-		return sweep.Matrix{}, fmt.Errorf("empty matrix: no benchmarks and no specs")
-	}
 	var kinds []string
 	switch *m.kinds {
 	case "eval":
@@ -153,16 +145,6 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 		kinds = experiments.Kinds()
 	default:
 		kinds = splitList(*m.kinds)
-		valid := make(map[string]bool)
-		for _, k := range experiments.Kinds() {
-			valid[k] = true
-		}
-		for _, k := range kinds {
-			if !valid[k] {
-				return sweep.Matrix{}, fmt.Errorf("unknown kind %q (have: %s)",
-					k, strings.Join(experiments.Kinds(), ","))
-			}
-		}
 	}
 	var seeds []int64
 	for _, s := range splitList(*m.seeds) {
@@ -179,12 +161,12 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 	var scaleVals []float64
 	for _, s := range splitList(scales) {
 		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v <= 0 {
+		if err != nil {
 			return sweep.Matrix{}, fmt.Errorf("bad scale %q", s)
 		}
 		scaleVals = append(scaleVals, v)
 	}
-	return sweep.Matrix{
+	mat := sweep.Matrix{
 		Benches:      benches,
 		Specs:        specRefs,
 		Kinds:        kinds,
@@ -192,7 +174,8 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 		Scales:       scaleVals,
 		Threads:      *m.threads,
 		MetricsEpoch: *m.metricsEpoch,
-	}, nil
+	}
+	return mat, mat.Validate()
 }
 
 func splitList(s string) []string {
@@ -248,21 +231,25 @@ func cmdRun(args []string, resume bool) error {
 	summary := fs.String("summary", "results/BENCH_sweep.json", `summary JSON path ("" disables)`)
 	fs.Parse(args)
 
-	if !resume && *server != "" {
-		matrix, err := mf.matrix()
+	// A fresh matrix is checked before any store is created.
+	var matrix sweep.Matrix
+	if !resume {
+		m, err := mf.matrix()
 		if err != nil {
 			return err
 		}
-		ctx, stop := signalContext()
-		defer stop()
-		return serverRun(ctx, *server, *token, matrix, *format)
+		if *server != "" {
+			ctx, stop := signalContext()
+			defer stop()
+			return serverRun(ctx, *server, *token, m, *format)
+		}
+		matrix = m
 	}
 
 	store, err := sweep.Open(*dir)
 	if err != nil {
 		return err
 	}
-	var matrix sweep.Matrix
 	if resume {
 		if !store.HasManifestFile() {
 			return fmt.Errorf("resume: no sweep recorded in %s (run 'spsweep run' first)", *dir)
@@ -275,14 +262,8 @@ func cmdRun(args []string, resume bool) error {
 			return fmt.Errorf("resume: manifest in %s has no matrix", *dir)
 		}
 		matrix = m
-	} else {
-		matrix, err = mf.matrix()
-		if err != nil {
-			return err
-		}
-		if err := store.SetMatrix(matrix); err != nil {
-			return err
-		}
+	} else if err := store.SetMatrix(matrix); err != nil {
+		return err
 	}
 	allJobs := matrix.Jobs()
 	fmt.Fprintf(os.Stderr, "spsweep: %s: %d jobs (%d benches x %d kinds x %d seeds x %d scales) on %d workers\n",

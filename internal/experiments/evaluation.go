@@ -54,15 +54,7 @@ func Table5(r *Runner) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := res.Nodes
-		actual := 0.0
-		if n.Misses > 0 {
-			actual = float64(n.ActualTargets) / float64(n.Misses)
-		}
-		pred := 0.0
-		if n.Predicted > 0 {
-			pred = float64(n.PredTargets) / float64(n.Predicted)
-		}
+		actual, pred := res.Nodes.AvgActualSet(), res.Nodes.AvgPredictedSet()
 		ratio := 0.0
 		if actual > 0 {
 			ratio = pred / actual

@@ -200,15 +200,17 @@ func TestTradeoffPoint(t *testing.T) {
 	}
 }
 
-// TestKindsMatchRunner: every advertised kind must be accepted by Run (the
-// sweep CLI validates against this list).
+// TestKindsMatchRunner: every advertised kind must be accepted by Options
+// and CheckKind (the sweep matrix check validates against this list).
 func TestKindsMatchRunner(t *testing.T) {
-	r := tinyRunner()
 	for _, k := range Kinds() {
+		if err := CheckKind(k); err != nil {
+			t.Errorf("kind %q rejected by CheckKind: %v", k, err)
+		}
 		if k == "oracle" {
 			continue // requires a profiling pass; covered by TestEvaluationTables
 		}
-		if _, err := r.predictorsFor("x264", k); err != nil {
+		if _, err := Options(16, k); err != nil {
 			t.Errorf("kind %q rejected: %v", k, err)
 		}
 	}
@@ -224,5 +226,65 @@ func TestKindsMatchRunner(t *testing.T) {
 		if !found {
 			t.Errorf("EvalKinds %q missing from Kinds", k)
 		}
+	}
+}
+
+// TestOptionsResolve pins what every configuration name resolves to, at
+// the paper's 16 nodes and on an 8x8 mesh: the protocol, one predictor per
+// node (or none) and the predictor's name.
+func TestOptionsResolve(t *testing.T) {
+	cases := []struct {
+		kind  string
+		proto sim.ProtocolKind
+		pred  string // "" = no predictors
+	}{
+		{"dir", sim.Directory, ""},
+		{"bcast", sim.Broadcast, ""},
+		{"sp", sim.Directory, "SP"},
+		{"sp+filter", sim.Directory, "SP+filter"},
+		{"sp512", sim.Directory, "SP"},
+		{"addr", sim.Directory, "ADDR"},
+		{"inst", sim.Directory, "INST"},
+		{"uni", sim.Directory, "UNI"},
+		{"addr-small", sim.Directory, "ADDR-small"},
+		{"inst-small", sim.Directory, "INST-small"},
+	}
+	if len(cases) != len(Kinds())-1 {
+		t.Fatalf("%d cases for %d kinds (all but oracle)", len(cases), len(Kinds())-1)
+	}
+	for _, threads := range []int{16, 64} {
+		for _, c := range cases {
+			opt, err := Options(threads, c.kind)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", c.kind, threads, err)
+			}
+			if opt.Machine.Nodes != threads || opt.Protocol != c.proto {
+				t.Errorf("%s/%d: %d nodes, protocol %v", c.kind, threads, opt.Machine.Nodes, opt.Protocol)
+			}
+			if c.pred == "" {
+				if opt.Predictors != nil {
+					t.Errorf("%s/%d: %d predictors, want nil", c.kind, threads, len(opt.Predictors))
+				}
+				continue
+			}
+			if len(opt.Predictors) != threads {
+				t.Fatalf("%s/%d: %d predictors", c.kind, threads, len(opt.Predictors))
+			}
+			if got := opt.Predictors[threads-1].Name(); got != c.pred {
+				t.Errorf("%s/%d: predictor %q, want %q", c.kind, threads, got, c.pred)
+			}
+		}
+	}
+	if opt, _ := Options(16, "dir"); opt.Machine != sim.DefaultOptions().Machine {
+		t.Error("16 threads must resolve to the paper's default machine")
+	}
+	if _, err := Options(16, "nosuch"); err == nil || !strings.Contains(err.Error(), "sp+filter") {
+		t.Errorf("unknown kind: err %v, want one listing Kinds()", err)
+	}
+	if _, err := Options(17, "dir"); err == nil {
+		t.Error("17 threads must error")
+	}
+	if _, err := Options(16, "oracle"); err == nil {
+		t.Error("oracle needs a profiling pass and must not resolve standalone")
 	}
 }

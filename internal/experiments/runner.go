@@ -5,7 +5,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"spcoh/internal/arch"
@@ -36,7 +38,8 @@ func Default() Config { return Config{Threads: 16, Scale: 1.0, Seed: 42} }
 func Quick() Config { return Config{Threads: 16, Scale: 0.25, Seed: 42} }
 
 // Kinds returns every configuration name understood by Runner.Run, in
-// evaluation order.
+// evaluation order. It is the repository's one configuration vocabulary:
+// the commands, the sweep matrix and the public spcoh API all use it.
 func Kinds() []string {
 	return []string{"dir", "bcast", "sp", "sp+filter", "sp512",
 		"addr", "inst", "uni", "addr-small", "inst-small", "oracle"}
@@ -65,7 +68,6 @@ type Runner struct {
 	results  cache[*sim.Result]
 	analyses cache[*charac.Analysis]
 	programs cache[*workload.Program]
-	books    cache[*core.OracleBook]
 }
 
 // NewRunner builds an empty cache over cfg.
@@ -116,21 +118,6 @@ func protect[T any](key string, fn func() (T, error)) (val T, err error) {
 	return fn()
 }
 
-// options builds the sim options every pass of this runner shares: the
-// machine sized to the configured thread count (the paper's 16-node mesh
-// stays the default; other counts select the matching square mesh).
-func (r *Runner) options() (sim.Options, error) {
-	opt := sim.DefaultOptions()
-	if r.Cfg.Threads != opt.Machine.Nodes {
-		m, err := protocol.ConfigFor(r.Cfg.Threads)
-		if err != nil {
-			return opt, fmt.Errorf("experiments: %w", err)
-		}
-		opt.Machine = m
-	}
-	return opt, nil
-}
-
 func (r *Runner) program(bench string) (*workload.Program, error) {
 	if r.Spec != nil && bench == r.Spec.Name {
 		return r.programs.do("spec:"+r.Spec.Digest(), func() (*workload.Program, error) {
@@ -146,9 +133,19 @@ func (r *Runner) program(bench string) (*workload.Program, error) {
 	})
 }
 
-// predictorsFor builds the per-node predictor set for a configuration name.
-func (r *Runner) predictorsFor(bench, kind string) ([]predictor.Predictor, error) {
-	n := r.Cfg.Threads
+// Options resolves a configuration name to the simulator options of one
+// run with the given thread count: the machine sized by protocol.ConfigFor,
+// the protocol, and the per-node predictor set. It is the one place a
+// configuration name becomes a machine; it covers every Kinds() entry
+// except "oracle", whose predictors replay a profiling pass (Runner.Run).
+func Options(threads int, kind string) (sim.Options, error) {
+	opt := sim.DefaultOptions()
+	m, err := protocol.ConfigFor(threads)
+	if err != nil {
+		return opt, fmt.Errorf("experiments: %w", err)
+	}
+	opt.Machine = m
+	n := threads
 	mk := func(f func(arch.NodeID) predictor.Predictor) []predictor.Predictor {
 		preds := make([]predictor.Predictor, n)
 		for i := range preds {
@@ -157,10 +154,11 @@ func (r *Runner) predictorsFor(bench, kind string) ([]predictor.Predictor, error
 		return preds
 	}
 	switch kind {
-	case "dir", "bcast":
-		return nil, nil
+	case "dir":
+	case "bcast":
+		opt.Protocol = sim.Broadcast
 	case "sp":
-		return core.NewSystem(core.DefaultConfig(n)), nil
+		opt.Predictors = core.NewSystem(core.DefaultConfig(n))
 	case "sp+filter":
 		// §5.3 extension: a region snoop filter suppressing prediction
 		// attempts on private data.
@@ -168,60 +166,64 @@ func (r *Runner) predictorsFor(bench, kind string) ([]predictor.Predictor, error
 		for i := range preds {
 			preds[i] = predictor.NewRegionFilter(preds[i])
 		}
-		return preds, nil
+		opt.Predictors = preds
 	case "sp512":
 		cfg := core.DefaultConfig(n)
 		cfg.MaxEntries = 512
-		return core.NewSystem(cfg), nil
+		opt.Predictors = core.NewSystem(cfg)
 	case "addr":
-		return mk(func(id arch.NodeID) predictor.Predictor { return predictor.NewAddr(id, n) }), nil
+		opt.Predictors = mk(func(id arch.NodeID) predictor.Predictor { return predictor.NewAddr(id, n) })
 	case "inst":
-		return mk(func(id arch.NodeID) predictor.Predictor { return predictor.NewInst(id, n) }), nil
+		opt.Predictors = mk(func(id arch.NodeID) predictor.Predictor { return predictor.NewInst(id, n) })
 	case "uni":
-		return mk(func(id arch.NodeID) predictor.Predictor { return predictor.NewUni(id, n) }), nil
+		opt.Predictors = mk(func(id arch.NodeID) predictor.Predictor { return predictor.NewUni(id, n) })
 	case "addr-small":
 		// ~0.5KB per node: the capacity wall sits ~8x lower than the
 		// paper's 4KB because the synthetic working sets are ~8x smaller.
-		return mk(func(id arch.NodeID) predictor.Predictor {
+		opt.Predictors = mk(func(id arch.NodeID) predictor.Predictor {
 			cfg := predictor.DefaultAddrConfig(n)
 			cfg.Entries = 64
 			return predictor.NewGroup("ADDR-small", id, cfg)
-		}), nil
+		})
 	case "inst-small":
-		return mk(func(id arch.NodeID) predictor.Predictor {
+		opt.Predictors = mk(func(id arch.NodeID) predictor.Predictor {
 			cfg := predictor.DefaultInstConfig(n)
 			cfg.Entries = 64
 			return predictor.NewGroup("INST-small", id, cfg)
-		}), nil
+		})
 	case "oracle":
-		b, err := r.book(bench)
-		if err != nil {
-			return nil, err
-		}
-		return core.OracleSystem(n, b), nil
+		return opt, errors.New(`experiments: configuration "oracle" needs a profiling pass; run it through Runner.Run`)
 	default:
-		return nil, fmt.Errorf("experiments: unknown configuration %q", kind)
+		return opt, fmt.Errorf("experiments: %w", CheckKind(kind))
 	}
+	return opt, nil
 }
 
-// book runs (once) the oracle-recording profiling pass for a benchmark.
-func (r *Runner) book(bench string) (*core.OracleBook, error) {
-	return r.books.do(bench, func() (*core.OracleBook, error) {
-		prog, err := r.program(bench)
-		if err != nil {
-			return nil, err
+// CheckKind rejects a configuration name not in Kinds().
+func CheckKind(kind string) error {
+	for _, k := range Kinds() {
+		if k == kind {
+			return nil
 		}
-		b := core.NewOracleBook()
-		opt, err := r.options()
-		if err != nil {
-			return nil, err
-		}
-		opt.Predictors = core.RecorderSystem(core.DefaultConfig(r.Cfg.Threads), b)
-		if _, err := sim.Run(prog, opt); err != nil {
-			return nil, fmt.Errorf("experiments: oracle profiling %s: %w", bench, err)
-		}
-		return b, nil
-	})
+	}
+	return fmt.Errorf("unknown kind %q (have: %s)", kind, strings.Join(Kinds(), ","))
+}
+
+// oracleOptions runs the oracle's profiling pass over prog — an SP run
+// recording every communication instance into a book — and returns the
+// options of the run replaying that book.
+func (r *Runner) oracleOptions(bench string, prog *workload.Program) (sim.Options, error) {
+	opt, err := Options(r.Cfg.Threads, "dir")
+	if err != nil {
+		return opt, err
+	}
+	b := core.NewOracleBook()
+	opt.Predictors = core.RecorderSystem(core.DefaultConfig(r.Cfg.Threads), b)
+	if _, err := sim.Run(prog, opt); err != nil {
+		return opt, fmt.Errorf("experiments: oracle profiling %s: %w", bench, err)
+	}
+	opt.Predictors = core.OracleSystem(r.Cfg.Threads, b)
+	return opt, nil
 }
 
 // Run executes (or recalls) one benchmark under one configuration.
@@ -232,19 +234,16 @@ func (r *Runner) Run(bench, kind string) (*sim.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt, err := r.options()
+		var opt sim.Options
+		if kind == "oracle" {
+			opt, err = r.oracleOptions(bench, prog)
+		} else {
+			opt, err = Options(r.Cfg.Threads, kind)
+		}
 		if err != nil {
 			return nil, err
 		}
 		opt.MetricsEpoch = event.Time(r.Cfg.MetricsEpoch)
-		if kind == "bcast" {
-			opt.Protocol = sim.Broadcast
-		} else {
-			opt.Predictors, err = r.predictorsFor(bench, kind)
-			if err != nil {
-				return nil, err
-			}
-		}
 		res, err := sim.Run(prog, opt)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", key, err)
@@ -263,7 +262,7 @@ func (r *Runner) Analysis(bench string) (*charac.Analysis, error) {
 			return nil, err
 		}
 		col := &trace.Collector{}
-		opt, err := r.options()
+		opt, err := Options(r.Cfg.Threads, "dir")
 		if err != nil {
 			return nil, err
 		}

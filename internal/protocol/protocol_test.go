@@ -406,3 +406,22 @@ func TestTable5AccountingPlausible(t *testing.T) {
 	}
 	quiesce(t, sim, sys, true)
 }
+
+// TestNodeStatsRatiosZeroDenominator: every derived mean is 0, not NaN,
+// on a run with no misses of the relevant class.
+func TestNodeStatsRatiosZeroDenominator(t *testing.T) {
+	var s NodeStats
+	s.CommLatencySum, s.NonCommLatencySum, s.PredTargets, s.ActualTargets = 5, 5, 5, 5
+	for i, v := range []float64{s.AvgCommLatency(), s.AvgNonCommLatency(),
+		s.AvgPredictedSet(), s.AvgActualSet()} {
+		if v != 0 {
+			t.Errorf("ratio %d: %v on a zero denominator, want 0", i, v)
+		}
+	}
+	s.Communicating, s.NonCommunicating, s.Predicted, s.Misses = 2, 4, 5, 10
+	if s.AvgCommLatency() != 2.5 || s.AvgNonCommLatency() != 1.25 ||
+		s.AvgPredictedSet() != 1 || s.AvgActualSet() != 0.5 {
+		t.Errorf("ratios %v %v %v %v", s.AvgCommLatency(), s.AvgNonCommLatency(),
+			s.AvgPredictedSet(), s.AvgActualSet())
+	}
+}

@@ -12,7 +12,11 @@
 // sweep artifact. Append new fields with omitempty; never reorder.
 package runcfg
 
-import "fmt"
+import (
+	"fmt"
+
+	"spcoh/internal/protocol"
+)
 
 // RunConfig sizes one simulation run.
 type RunConfig struct {
@@ -30,10 +34,11 @@ type RunConfig struct {
 	MetricsEpoch uint64 `json:"metrics_epoch,omitempty"`
 }
 
-// Validate rejects configurations no layer can run.
+// Validate rejects configurations no layer can run, including thread
+// counts no machine is sized for (see protocol.ConfigFor).
 func (c RunConfig) Validate() error {
-	if c.Threads < 1 {
-		return fmt.Errorf("runcfg: threads %d < 1", c.Threads)
+	if _, err := protocol.ConfigFor(c.Threads); err != nil {
+		return fmt.Errorf("runcfg: %w", err)
 	}
 	if c.Scale <= 0 {
 		return fmt.Errorf("runcfg: scale %g <= 0", c.Scale)

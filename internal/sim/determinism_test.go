@@ -21,11 +21,7 @@ import (
 // produce byte-identical snapshots.
 func snapshot(t *testing.T, bench string, kind ProtocolKind, withSP bool, seed int64) string {
 	t.Helper()
-	prof, err := workload.ByName(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := prof.Build(16, 0.05, seed)
+	prog := mustProgram(t, bench, 16, 0.05, seed)
 
 	opt := DefaultOptions()
 	opt.Protocol = kind
@@ -164,12 +160,8 @@ func TestGeneratedScenarioReplay(t *testing.T) {
 // internal/workload).
 func TestWorkloadBuildDeterministic(t *testing.T) {
 	for _, bench := range []string{"fmm", "dedup", "x264"} {
-		prof, err := workload.ByName(bench)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := fmt.Sprintf("%+v", prof.Build(16, 0.05, 7).Threads)
-		b := fmt.Sprintf("%+v", prof.Build(16, 0.05, 7).Threads)
+		a := fmt.Sprintf("%+v", mustProgram(t, bench, 16, 0.05, 7).Threads)
+		b := fmt.Sprintf("%+v", mustProgram(t, bench, 16, 0.05, 7).Threads)
 		if a != b {
 			t.Fatalf("%s: same seed produced different op streams", bench)
 		}

@@ -45,10 +45,6 @@ func goldenCells() []goldenCell {
 // JSON-serialized Result.
 func goldenDigest(t *testing.T, c goldenCell) string {
 	t.Helper()
-	p, err := workload.ByName(c.bench)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg, err := protocol.ConfigFor(c.nodes)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +57,7 @@ func goldenDigest(t *testing.T, c goldenCell) string {
 	case "bcast":
 		opt.Protocol = Broadcast
 	}
-	res, err := Run(p.Build(c.nodes, c.scale, 1), opt)
+	res, err := Run(mustProgram(t, c.bench, c.nodes, c.scale, 1), opt)
 	if err != nil {
 		t.Fatalf("%s: %v", c.key(), err)
 	}

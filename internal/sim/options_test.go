@@ -7,12 +7,10 @@ import (
 	"spcoh/internal/core"
 	"spcoh/internal/predictor"
 	"spcoh/internal/protocol"
-	"spcoh/internal/workload"
 )
 
 func TestMaxCyclesAborts(t *testing.T) {
-	p, _ := workload.ByName("ocean")
-	prog := p.Build(16, 0.2, 1)
+	prog := mustProgram(t, "ocean", 16, 0.2, 1)
 	opt := DefaultOptions()
 	opt.MaxCycles = 100 // far too few
 	_, err := Run(prog, opt)
@@ -22,8 +20,7 @@ func TestMaxCyclesAborts(t *testing.T) {
 }
 
 func TestMaxCyclesGenerous(t *testing.T) {
-	p, _ := workload.ByName("x264")
-	prog := p.Build(16, 0.1, 1)
+	prog := mustProgram(t, "x264", 16, 0.1, 1)
 	opt := DefaultOptions()
 	opt.MaxCycles = 1 << 40
 	res, err := Run(prog, opt)
@@ -37,8 +34,7 @@ func TestSmallMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _ := workload.ByName("water-ns")
-	prog := p.Build(4, 0.2, 1)
+	prog := mustProgram(t, "water-ns", 4, 0.2, 1)
 	opt := DefaultOptions()
 	opt.Machine = cfg
 	res, err := Run(prog, opt)
@@ -53,7 +49,6 @@ func TestSmallMachine(t *testing.T) {
 // TestBigMeshCompletes runs the scaled 8x8 and 16x16 machines to
 // completion; Run fails on deadlock and on any hard coherence violation.
 func TestBigMeshCompletes(t *testing.T) {
-	p, _ := workload.ByName("ocean")
 	for _, nodes := range []int{64, 256} {
 		cfg, err := protocol.ConfigFor(nodes)
 		if err != nil {
@@ -61,7 +56,7 @@ func TestBigMeshCompletes(t *testing.T) {
 		}
 		opt := DefaultOptions()
 		opt.Machine = cfg
-		res, err := Run(p.Build(nodes, 0.02, 3), opt)
+		res, err := Run(mustProgram(t, "ocean", nodes, 0.02, 3), opt)
 		if err != nil {
 			t.Fatalf("%d-node mesh: %v", nodes, err)
 		}
@@ -74,7 +69,7 @@ func TestBigMeshCompletes(t *testing.T) {
 // TestPredictorCount: a predictor slice must hold one entry per node or
 // none; any other length is a configuration error, not a panic.
 func TestPredictorCount(t *testing.T) {
-	p, _ := workload.ByName("x264")
+	prog := mustProgram(t, "x264", 16, 0.05, 1)
 	all := core.NewSystem(core.DefaultConfig(16))
 	cases := []struct {
 		name  string
@@ -88,7 +83,7 @@ func TestPredictorCount(t *testing.T) {
 	for _, c := range cases {
 		opt := DefaultOptions()
 		opt.Predictors = c.preds
-		res, err := Run(p.Build(16, 0.05, 1), opt)
+		res, err := Run(prog, opt)
 		switch {
 		case c.ok && err != nil:
 			t.Errorf("%s (%d predictors): %v", c.name, len(c.preds), err)
@@ -119,8 +114,7 @@ func TestConfigForRejectsNonSquare(t *testing.T) {
 }
 
 func TestResultAccessors(t *testing.T) {
-	p, _ := workload.ByName("x264")
-	prog := p.Build(16, 0.1, 1)
+	prog := mustProgram(t, "x264", 16, 0.1, 1)
 	res, err := Run(prog, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

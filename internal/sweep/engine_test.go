@@ -338,3 +338,35 @@ func TestEngineDefaultsWorkers(t *testing.T) {
 	}
 	_ = fmt.Sprintf // keep fmt referenced if assertions change
 }
+
+// TestMatrixValidate: the shared matrix check refuses every matrix no
+// worker could run, thread counts no machine is sized for included, and
+// accepts a runnable one.
+func TestMatrixValidate(t *testing.T) {
+	base := Matrix{Benches: []string{"x264"}, Kinds: []string{"dir", "oracle"},
+		Seeds: []int64{42}, Scales: []float64{0.25}, Threads: 64}
+	if err := base.Validate(); err != nil {
+		t.Fatalf("runnable matrix rejected: %v", err)
+	}
+	cases := []struct {
+		name, want string
+		mut        func(m *Matrix)
+	}{
+		{"unsupported threads", "unsupported node count 17", func(m *Matrix) { m.Threads = 17 }},
+		{"zero threads", "unsupported node count 0", func(m *Matrix) { m.Threads = 0 }},
+		{"unknown kind", "have: dir,bcast", func(m *Matrix) { m.Kinds = []string{"none"} }},
+		{"unknown bench", "nosuch", func(m *Matrix) { m.Benches = []string{"nosuch"} }},
+		{"bad scale", "scale 0", func(m *Matrix) { m.Scales = []float64{0} }},
+		{"no kinds", "no kinds", func(m *Matrix) { m.Kinds = nil }},
+		{"no seeds", "no seeds", func(m *Matrix) { m.Seeds = nil }},
+		{"no scales", "no scales", func(m *Matrix) { m.Scales = nil }},
+		{"empty", "no benchmarks", func(m *Matrix) { m.Benches = nil }},
+	}
+	for _, c := range cases {
+		m := base
+		c.mut(&m)
+		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}

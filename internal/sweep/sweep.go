@@ -27,10 +27,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"sort"
 	"strconv"
 
+	"spcoh/internal/experiments"
 	"spcoh/internal/runcfg"
+	"spcoh/internal/workload"
 )
 
 // Job is one independent cell of a sweep matrix: a single simulation of
@@ -122,6 +125,42 @@ type Matrix struct {
 
 	// MetricsEpoch applies to every cell of the matrix (0 = no metrics).
 	MetricsEpoch uint64 `json:"metrics_epoch,omitempty"`
+}
+
+// Validate rejects a matrix no worker could run, before any job is
+// expanded or stored: an empty dimension, an unknown benchmark or kind
+// (experiments.Kinds), or a cell sizing runcfg.RunConfig.Validate refuses
+// — a non-positive scale or a thread count no machine is sized for. The
+// local CLI and the sweep server both gate on it.
+func (m Matrix) Validate() error {
+	if len(m.Benches) == 0 && len(m.Specs) == 0 {
+		return errors.New("empty matrix: no benchmarks and no specs")
+	}
+	for _, b := range m.Benches {
+		if _, err := workload.ByName(b); err != nil {
+			return err
+		}
+	}
+	if len(m.Kinds) == 0 {
+		return errors.New("empty matrix: no kinds")
+	}
+	for _, k := range m.Kinds {
+		if err := experiments.CheckKind(k); err != nil {
+			return err
+		}
+	}
+	if len(m.Seeds) == 0 {
+		return errors.New("empty matrix: no seeds")
+	}
+	if len(m.Scales) == 0 {
+		return errors.New("empty matrix: no scales")
+	}
+	for _, sc := range m.Scales {
+		if err := (runcfg.RunConfig{Threads: m.Threads, Scale: sc}).Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Jobs expands the cross product into jobs sorted by Key. Cells whose

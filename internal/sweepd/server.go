@@ -14,11 +14,9 @@ import (
 	"time"
 
 	"spcoh/internal/detutil"
-	"spcoh/internal/experiments"
 	"spcoh/internal/scenario"
 	"spcoh/internal/sim"
 	"spcoh/internal/sweep"
-	"spcoh/internal/workload"
 )
 
 // Options configures a Server.
@@ -217,7 +215,7 @@ func (s *Server) specPath(digest string) string {
 // state and artifact.
 func (s *Server) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 	m := req.Matrix
-	if err := validateMatrix(m); err != nil {
+	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	// Re-home specs: every SpecRef must arrive with content hashing to
@@ -422,46 +420,6 @@ func (s *Server) Fail(leaseID, errMsg string) error {
 		_ = s.store.MarkFailed(job, errMsg)
 	} else {
 		s.opt.Log("%s: attempt failed, requeued: %s", job.Key(), errMsg)
-	}
-	return nil
-}
-
-// validateMatrix rejects matrices no worker could run, before any job is
-// registered.
-func validateMatrix(m sweep.Matrix) error {
-	if len(m.Benches) == 0 && len(m.Specs) == 0 {
-		return errors.New("empty matrix: no benchmarks and no specs")
-	}
-	for _, b := range m.Benches {
-		if _, err := workload.ByName(b); err != nil {
-			return err
-		}
-	}
-	if len(m.Kinds) == 0 {
-		return errors.New("empty matrix: no kinds")
-	}
-	valid := make(map[string]bool)
-	for _, k := range experiments.Kinds() {
-		valid[k] = true
-	}
-	for _, k := range m.Kinds {
-		if !valid[k] {
-			return fmt.Errorf("unknown kind %q", k)
-		}
-	}
-	if len(m.Seeds) == 0 {
-		return errors.New("empty matrix: no seeds")
-	}
-	if len(m.Scales) == 0 {
-		return errors.New("empty matrix: no scales")
-	}
-	for _, sc := range m.Scales {
-		if sc <= 0 {
-			return fmt.Errorf("bad scale %g", sc)
-		}
-	}
-	if m.Threads < 1 {
-		return fmt.Errorf("threads %d < 1", m.Threads)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package sweepd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -433,6 +435,32 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if a.SweepID != b.SweepID || b.Counts.Jobs != a.Counts.Jobs {
 		t.Fatalf("resubmit not idempotent: %+v vs %+v", a, b)
+	}
+}
+
+// TestHandleSubmitRejectsUnsupportedThreads: a thread count no machine is
+// sized for bounces with 400 at submission, and no sweep is registered
+// (before the shared matrix check, every job failed at execution instead).
+func TestHandleSubmitRejectsUnsupportedThreads(t *testing.T) {
+	srv, c, stop := startServer(t, t.TempDir(), Options{})
+	defer stop()
+	m := testServerMatrix()
+	m.Threads = 17
+	body, err := json.Marshal(SubmitRequest{Matrix: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, APIBase+"/sweeps", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unsupported node count 17") {
+		t.Fatalf("submit with 17 threads: %d %s, want 400 naming the node count", rec.Code, rec.Body)
+	}
+	list, err := c.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Sweeps) != 0 || len(srv.sweepIDs()) != 0 {
+		t.Fatalf("rejected submit registered sweeps: %+v", list.Sweeps)
 	}
 }
 

@@ -23,20 +23,6 @@ type Profile struct {
 	Paper scenario.PaperStats
 }
 
-// Build constructs the op-stream program at the given size. It panics on
-// an internal error; built-in profiles are validated at registration, so
-// this cannot fire for them.
-//
-// Deprecated: new call sites should use Program (the error-returning
-// variant) or workload.FromSpec directly.
-func (p Profile) Build(threads int, scale float64, seed int64) *Program {
-	prog, err := p.Program(threads, scale, seed)
-	if err != nil {
-		panic("workload: " + p.Name + ": " + err.Error())
-	}
-	return prog
-}
-
 // Program constructs the op-stream program at the given size.
 func (p Profile) Program(threads int, scale float64, seed int64) (*Program, error) {
 	if p.Spec == nil {
@@ -166,8 +152,3 @@ func ByName(name string) (Profile, error) {
 	}
 	return p, nil
 }
-
-// All returns every built-in profile in presentation order.
-//
-// Deprecated: use Builtin().Profiles().
-func All() []Profile { return Builtin().Profiles() }

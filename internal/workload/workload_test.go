@@ -118,16 +118,27 @@ func TestCSStructure(t *testing.T) {
 	}
 }
 
+// mustProgram builds a built-in profile's program, failing the test on
+// error.
+func mustProgram(t *testing.T, name string, threads int, scale float64, seed int64) *Program {
+	t.Helper()
+	p, ok := Builtin().Lookup(name)
+	if !ok {
+		t.Fatalf("missing profile %s", name)
+	}
+	prog, err := p.Program(threads, scale, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
 func TestAllProfilesBuild(t *testing.T) {
 	if len(Names()) != 17 {
 		t.Fatalf("expected 17 benchmarks, have %d", len(Names()))
 	}
 	for _, name := range Names() {
-		p, err := ByName(name)
-		if err != nil {
-			t.Fatalf("missing profile %s", name)
-		}
-		prog := p.Build(16, 0.05, 42)
+		prog := mustProgram(t, name, 16, 0.05, 42)
 		if prog.NumThreads() != 16 {
 			t.Fatalf("%s: threads = %d", name, prog.NumThreads())
 		}
@@ -168,8 +179,7 @@ func TestProfilesSPMDBarriers(t *testing.T) {
 	// All threads must execute the same barrier sequence or the runtime
 	// deadlocks.
 	for _, name := range Names() {
-		p, _ := ByName(name)
-		prog := p.Build(8, 0.05, 1)
+		prog := mustProgram(t, name, 8, 0.05, 1)
 		var ref []uint64
 		for tid, ops := range prog.Threads {
 			var seq []uint64
@@ -195,18 +205,16 @@ func TestProfilesSPMDBarriers(t *testing.T) {
 }
 
 func TestScaleChangesSize(t *testing.T) {
-	p, _ := ByName("ocean")
-	small := p.Build(4, 0.05, 1).TotalOps()
-	large := p.Build(4, 0.5, 1).TotalOps()
+	small := mustProgram(t, "ocean", 4, 0.05, 1).TotalOps()
+	large := mustProgram(t, "ocean", 4, 0.5, 1).TotalOps()
 	if large <= small {
 		t.Fatalf("scale should grow the program: %d vs %d", small, large)
 	}
 }
 
 func TestDeterministicBuild(t *testing.T) {
-	p, _ := ByName("radiosity") // uses build-time randomness
-	a := p.Build(4, 0.05, 7)
-	b := p.Build(4, 0.05, 7)
+	a := mustProgram(t, "radiosity", 4, 0.05, 7) // uses build-time randomness
+	b := mustProgram(t, "radiosity", 4, 0.05, 7)
 	if a.TotalOps() != b.TotalOps() {
 		t.Fatal("same seed must build identical programs")
 	}
@@ -217,7 +225,7 @@ func TestDeterministicBuild(t *testing.T) {
 			}
 		}
 	}
-	c := p.Build(4, 0.05, 8)
+	c := mustProgram(t, "radiosity", 4, 0.05, 8)
 	same := true
 	for tid := range a.Threads {
 		if len(a.Threads[tid]) != len(c.Threads[tid]) {

@@ -32,6 +32,8 @@
 #                 (validity + determinism + buildability), and a generated
 #                 spec piped through spsim -spec twice must render
 #                 byte-identically
+#   spsim bad-input smoke  an unknown -pred and an unsupported -threads
+#                 must each exit non-zero and print no result rows
 #   spstat smoke  metrics pipeline end to end: a small instrumented run
 #                 twice (series must be byte-identical), spstat -validate
 #                 (epochs monotone/contiguous), JSON decode, and the
@@ -204,6 +206,20 @@ cmp "$sweepdir/spec1.txt" "$sweepdir/spec2.txt" || {
     echo "spscen: generated-spec replay is not deterministic" >&2
     exit 1
 }
+
+echo "== spsim bad-input smoke (unknown -pred / unsupported -threads)"
+for args in "-pred bogus" "-threads 17"; do
+    # $args is deliberately unquoted: it holds a flag and its value.
+    if "$sweepdir/spsim" -bench x264 -scale 0.05 $args > "$sweepdir/bad.txt" 2> "$sweepdir/bad.log"; then
+        echo "spsim: $args exited 0" >&2
+        exit 1
+    fi
+    if [ -s "$sweepdir/bad.txt" ]; then
+        echo "spsim: $args printed result rows:" >&2
+        cat "$sweepdir/bad.txt" >&2
+        exit 1
+    fi
+done
 
 echo "== spstat smoke (metrics series determinism / validate / overhead)"
 go build -o "$sweepdir/spstat" ./cmd/spstat

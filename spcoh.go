@@ -18,13 +18,9 @@
 package spcoh
 
 import (
-	"fmt"
-
-	"spcoh/internal/arch"
 	"spcoh/internal/core"
 	"spcoh/internal/experiments"
 	"spcoh/internal/predictor"
-	"spcoh/internal/protocol"
 	"spcoh/internal/sim"
 	"spcoh/internal/workload"
 )
@@ -32,10 +28,12 @@ import (
 // PredictorKind selects the coherence configuration of a run.
 type PredictorKind string
 
-// Available configurations.
+// Available configurations. The values are the configuration names of
+// the experiments harness (see Kinds in internal/experiments), so every
+// command and this API share one vocabulary.
 const (
 	// Directory is the baseline MESIF directory protocol (no prediction).
-	Directory PredictorKind = "directory"
+	Directory PredictorKind = "dir"
 	// SP is the paper's synchronization-point-based predictor.
 	SP PredictorKind = "sp"
 	// Addr is the macroblock address-indexed group predictor.
@@ -48,7 +46,7 @@ const (
 	// prediction attempts on private data (the paper's §5.3 discussion).
 	SPFiltered PredictorKind = "sp+filter"
 	// Broadcast is the snooping protocol baseline.
-	Broadcast PredictorKind = "broadcast"
+	Broadcast PredictorKind = "bcast"
 )
 
 // Options configures a benchmark run. The zero value runs the baseline
@@ -57,7 +55,7 @@ type Options struct {
 	Predictor PredictorKind // default Directory
 	Scale     float64       // workload scale; default 1.0
 	Seed      int64         // workload build seed; default 42
-	Threads   int           // cores/threads; default 16 (must match the 4x4 mesh)
+	Threads   int           // cores/threads; default 16 (a perfect square: the mesh stays square)
 
 	// SPConfig overrides the SP-predictor parameters (nil = paper
 	// defaults). Only consulted when Predictor == SP.
@@ -127,57 +125,6 @@ func Experiments() []string {
 	return out
 }
 
-func buildPredictors(o Options) ([]predictor.Predictor, error) {
-	n := o.Threads
-	switch o.Predictor {
-	case Directory, Broadcast:
-		return nil, nil
-	case SP:
-		cfg := core.DefaultConfig(n)
-		if s := o.SPConfig; s != nil {
-			if s.HistoryDepth > 0 {
-				cfg.HistoryDepth = s.HistoryDepth
-			}
-			if s.HotThreshold > 0 {
-				cfg.HotThreshold = s.HotThreshold
-			}
-			if s.WarmupMisses > 0 {
-				cfg.WarmupMisses = s.WarmupMisses
-			}
-			if s.NoiseMinComm > 0 {
-				cfg.NoiseMinComm = s.NoiseMinComm
-			}
-			if s.ConfidenceMax > 0 {
-				cfg.ConfidenceMax = s.ConfidenceMax
-			}
-			cfg.StrideDetect = s.StrideDetect
-			cfg.MaxEntries = s.MaxEntries
-		}
-		return core.NewSystem(cfg), nil
-	case SPFiltered:
-		preds := core.NewSystem(core.DefaultConfig(n))
-		for i := range preds {
-			preds[i] = predictor.NewRegionFilter(preds[i])
-		}
-		return preds, nil
-	case Addr, Inst, Uni:
-		preds := make([]predictor.Predictor, n)
-		for i := range preds {
-			switch o.Predictor {
-			case Addr:
-				preds[i] = predictor.NewAddr(arch.NodeID(i), n)
-			case Inst:
-				preds[i] = predictor.NewInst(arch.NodeID(i), n)
-			default:
-				preds[i] = predictor.NewUni(arch.NodeID(i), n)
-			}
-		}
-		return preds, nil
-	default:
-		return nil, fmt.Errorf("spcoh: unknown predictor %q", o.Predictor)
-	}
-}
-
 // RunBenchmark simulates one named benchmark under the given options.
 func RunBenchmark(bench string, o Options) (*Metrics, error) {
 	o = o.normalize()
@@ -185,7 +132,10 @@ func RunBenchmark(bench string, o Options) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog := prof.Build(o.Threads, o.Scale, o.Seed)
+	prog, err := prof.Program(o.Threads, o.Scale, o.Seed)
+	if err != nil {
+		return nil, err
+	}
 	return RunProgram(&Program{p: prog}, o)
 }
 
@@ -194,22 +144,30 @@ func RunBenchmark(bench string, o Options) (*Metrics, error) {
 // 2x2 or 8x8 mesh with the same per-tile parameters.
 func RunProgram(p *Program, o Options) (*Metrics, error) {
 	o = o.normalize()
-	opt := sim.DefaultOptions()
-	if o.Threads != opt.Machine.Nodes {
-		m, err := protocol.ConfigFor(o.Threads)
-		if err != nil {
-			return nil, err
-		}
-		opt.Machine = m
+	opt, err := experiments.Options(o.Threads, string(o.Predictor))
+	if err != nil {
+		return nil, err
 	}
-	if o.Predictor == Broadcast {
-		opt.Protocol = sim.Broadcast
-	} else {
-		preds, err := buildPredictors(o)
-		if err != nil {
-			return nil, err
+	if s := o.SPConfig; s != nil && o.Predictor == SP {
+		cfg := core.DefaultConfig(o.Threads)
+		if s.HistoryDepth > 0 {
+			cfg.HistoryDepth = s.HistoryDepth
 		}
-		opt.Predictors = preds
+		if s.HotThreshold > 0 {
+			cfg.HotThreshold = s.HotThreshold
+		}
+		if s.WarmupMisses > 0 {
+			cfg.WarmupMisses = s.WarmupMisses
+		}
+		if s.NoiseMinComm > 0 {
+			cfg.NoiseMinComm = s.NoiseMinComm
+		}
+		if s.ConfidenceMax > 0 {
+			cfg.ConfidenceMax = s.ConfidenceMax
+		}
+		cfg.StrideDetect = s.StrideDetect
+		cfg.MaxEntries = s.MaxEntries
+		opt.Predictors = core.NewSystem(cfg)
 	}
 	res, err := sim.Run(p.p, opt)
 	if err != nil {
@@ -219,21 +177,24 @@ func RunProgram(p *Program, o Options) (*Metrics, error) {
 }
 
 func toMetrics(res *sim.Result) *Metrics {
-	m := &Metrics{
-		Benchmark:    res.Benchmark,
-		Predictor:    res.Predictor,
-		Cycles:       uint64(res.Cycles),
-		Misses:       res.Misses(),
-		CommRatio:    res.CommRatio(),
-		NetworkBytes: res.Net.Bytes,
-		Energy:       res.Energy.Total(),
-		StorageBits:  res.StorageBits,
-	}
-	m.AvgMissLatency = res.AvgMissLatency()
 	n := res.Nodes
+	m := &Metrics{
+		Benchmark:          res.Benchmark,
+		Predictor:          res.Predictor,
+		Cycles:             uint64(res.Cycles),
+		Misses:             res.Misses(),
+		CommRatio:          res.CommRatio(),
+		AvgMissLatency:     res.AvgMissLatency(),
+		CommMissLatency:    n.AvgCommLatency(),
+		NonCommMissLatency: n.AvgNonCommLatency(),
+		PredictionAccuracy: n.Accuracy(),
+		PredictedTargets:   n.AvgPredictedSet(),
+		ActualTargets:      n.AvgActualSet(),
+		NetworkBytes:       res.Net.Bytes,
+		Energy:             res.Energy.Total(),
+		StorageBits:        res.StorageBits,
+	}
 	if n.Communicating > 0 {
-		m.CommMissLatency = float64(n.CommLatencySum) / float64(n.Communicating)
-		m.PredictionAccuracy = n.Accuracy()
 		m.AccuracyBySource = map[string]float64{}
 		for tag, c := range n.PredCorrectByTag {
 			if c > 0 {
@@ -241,15 +202,6 @@ func toMetrics(res *sim.Result) *Metrics {
 					float64(c) / float64(n.Communicating)
 			}
 		}
-	}
-	if n.NonCommunicating > 0 {
-		m.NonCommMissLatency = float64(n.NonCommLatencySum) / float64(n.NonCommunicating)
-	}
-	if n.Predicted > 0 {
-		m.PredictedTargets = float64(n.PredTargets) / float64(n.Predicted)
-	}
-	if n.Misses > 0 {
-		m.ActualTargets = float64(n.ActualTargets) / float64(n.Misses)
 	}
 	return m
 }

@@ -1,10 +1,15 @@
 package spcoh_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
 	"strings"
 	"testing"
 
 	"spcoh"
+	"spcoh/internal/experiments"
 )
 
 func TestBenchmarksList(t *testing.T) {
@@ -186,5 +191,41 @@ func TestFlexibleMachineSizes(t *testing.T) {
 	}
 	if _, err := spcoh.RunBenchmark("x264", spcoh.Options{Threads: 5}); err == nil {
 		t.Fatal("non-square thread count must error")
+	}
+}
+
+// TestPredictorKindsResolve: every PredictorKind constant declared in
+// spcoh.go is a configuration name the experiments resolver accepts, so
+// the public API and the commands cannot drift to two vocabularies.
+func TestPredictorKindsResolve(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "spcoh.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, d := range f.Decls {
+		g, ok := d.(*ast.GenDecl)
+		if !ok || g.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range g.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "PredictorKind" {
+				continue
+			}
+			for i, name := range vs.Names {
+				kind, err := strconv.Unquote(vs.Values[i].(*ast.BasicLit).Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := experiments.Options(16, kind); err != nil {
+					t.Errorf("spcoh.%s = %q does not resolve: %v", name.Name, kind, err)
+				}
+				n++
+			}
+		}
+	}
+	if n != 7 {
+		t.Fatalf("found %d PredictorKind constants, want 7", n)
 	}
 }
