@@ -1,7 +1,9 @@
 // Command spsweep runs the paper's evaluation matrix — benchmark ×
-// configuration × seed × scale — as independent simulation jobs on a
-// bounded worker pool, checkpointing every completed cell into a resumable
-// artifact store (see internal/sweep).
+// configuration × seed × scale — as independent simulation jobs on -jobs
+// worker slots, checkpointing every completed cell into a resumable
+// artifact store (see internal/sweep). A local run schedules through the
+// same lease queue as the spsweepd daemon, in-process and without a
+// listener (see internal/sweepd).
 //
 // Usage:
 //
@@ -26,7 +28,8 @@
 // The merged output (stdout) is sorted by job key and byte-identical for
 // any -jobs value — and, in server mode, for any worker count,
 // distribution or server restart; timing and scheduling details go to
-// stderr and the -summary file.
+// stderr and the -summary file. An interrupted local run prints no merged
+// output and writes no summary; it exits non-zero with a resume hint.
 package main
 
 import (
@@ -39,12 +42,13 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	"spcoh/internal/detutil"
 	"spcoh/internal/experiments"
 	"spcoh/internal/scenario"
-	"spcoh/internal/sim"
 	"spcoh/internal/sweep"
+	"spcoh/internal/sweepd"
 	"spcoh/internal/workload"
 )
 
@@ -128,7 +132,7 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 		benches = splitList(*m.bench)
 	}
 	// Spec references resolve at flag-parse time: the digest computed here
-	// is the cell identity, and execution re-verifies the file against it.
+	// is the cell identity, and each lease re-verifies the file against it.
 	var specRefs []sweep.SpecRef
 	for _, path := range splitList(*m.specs) {
 		s, err := scenario.Load(path)
@@ -186,26 +190,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// runCell is the production executor: one self-contained simulation per
-// job (experiments.RunCell shares no state between cells). Spec cells
-// reload their file and verify it still hashes to the digest recorded in
-// the job identity, so a spec edited after matrix assembly fails loudly
-// instead of silently mislabeling an artifact.
-func runCell(j sweep.Job) (*sim.Result, error) {
-	if j.SpecDigest == "" {
-		return experiments.RunCell(j.RunConfig, j.Bench, j.Kind)
-	}
-	s, err := scenario.Load(j.SpecPath)
-	if err != nil {
-		return nil, err
-	}
-	if d := s.Digest(); d != j.SpecDigest {
-		return nil, fmt.Errorf("spec %s changed since the sweep was assembled (digest %.12s, job wants %.12s); rerun 'spsweep run'",
-			j.SpecPath, d, j.SpecDigest)
-	}
-	return experiments.RunSpecCell(j.RunConfig, s, j.Kind)
 }
 
 func cmdRun(args []string, resume bool) error {
@@ -269,33 +253,27 @@ func cmdRun(args []string, resume bool) error {
 	fmt.Fprintf(os.Stderr, "spsweep: %s: %d jobs (%d benches x %d kinds x %d seeds x %d scales) on %d workers\n",
 		name, len(allJobs), len(matrix.Benches), len(matrix.Kinds), len(matrix.Seeds), len(matrix.Scales), *jobs)
 
-	// SIGINT/SIGTERM stop the sweep after in-flight jobs; completed cells
-	// are already checkpointed, so 'spsweep resume' picks up from there.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// SIGINT/SIGTERM end the sweep: completed cells are already
+	// checkpointed and cut ones report nothing, so 'spsweep resume' picks
+	// up from there.
+	ctx, stop := signalContext()
 	defer stop()
 
-	done := 0
-	opt := sweep.Options{
-		Workers:     *jobs,
-		Timeout:     *timeout,
-		Retries:     *retries,
-		Backoff:     *backoff,
-		BackoffSeed: *backoffSeed,
-		Store:       store,
-		Progress: func(jr sweep.JobResult) {
-			done++
-			state := "ok"
-			switch {
-			case jr.Err != nil:
-				state = "FAIL: " + jr.Err.Error()
-			case jr.Cached:
-				state = "cached"
-			}
-			fmt.Fprintf(os.Stderr, "spsweep: [%d/%d] %-40s %6.1fs  %s\n",
-				done, len(allJobs), jr.Job.Key(), jr.Wall.Seconds(), state)
-		},
+	prog := &progress{total: len(allJobs)}
+	rep, err := sweepd.RunLocal(ctx, matrix, sweepd.Options{
+		Store:        store,
+		Retries:      *retries,
+		Backoff:      *backoff,
+		BackoffSeed:  *backoffSeed,
+		Timeout:      *timeout,
+		LocalWorkers: *jobs,
+	}, prog.line)
+	if err != nil {
+		if ctx.Err() != nil {
+			return fmt.Errorf("interrupted; completed cells are checkpointed, 'spsweep resume -dir %s' continues", *dir)
+		}
+		return err
 	}
-	rep := sweep.Run(ctx, allJobs, runCell, opt)
 
 	switch *format {
 	case "table":
@@ -318,13 +296,34 @@ func cmdRun(args []string, resume bool) error {
 		}
 		fmt.Fprintf(os.Stderr, "spsweep: summary written to %s\n", *summary)
 	}
-	fmt.Fprintf(os.Stderr, "spsweep: %d jobs: %d cached, %d executed, %d failed in %.1fs\n",
-		len(allJobs), rep.Cached, rep.Executed, rep.Failed, rep.Wall.Seconds())
-	if rep.Failed > 0 {
-		return fmt.Errorf("%d job(s) failed", rep.Failed)
+	return finalLine(len(allJobs), rep.Cached, rep.Executed, rep.Failed, rep.Wall)
+}
+
+// progress prints one stderr line per finished job, for local and
+// server runs alike. Display only: lines arrive in completion order.
+type progress struct {
+	done, total int
+}
+
+func (p *progress) line(js sweepd.JobStatus) {
+	p.done++
+	state := "ok"
+	switch {
+	case js.State == "failed":
+		state = "FAIL: " + js.Error
+	case js.Cached:
+		state = "cached"
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("interrupted; completed cells are checkpointed, 'spsweep resume -dir %s' continues", *dir)
+	fmt.Fprintf(os.Stderr, "spsweep: [%d/%d] %-40s %6.1fs  %s\n", p.done, p.total, js.Key, js.Seconds, state)
+}
+
+// finalLine prints the run's closing count line and fails the command
+// when any job failed.
+func finalLine(jobs, cached, executed, failed int, wall time.Duration) error {
+	fmt.Fprintf(os.Stderr, "spsweep: %d jobs: %d cached, %d executed, %d failed in %.1fs\n",
+		jobs, cached, executed, failed, wall.Seconds())
+	if failed > 0 {
+		return fmt.Errorf("%d job(s) failed", failed)
 	}
 	return nil
 }

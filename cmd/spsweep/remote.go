@@ -1,7 +1,7 @@
 package main
 
 // Server-mode subcommands: everything spsweep does against a spsweepd
-// daemon instead of the local engine. The merged results a server
+// daemon instead of an in-process run. The merged results a server
 // returns are byte-identical to a local run of the same matrix (see
 // internal/sweepd), so scripts can switch between the two freely.
 
@@ -58,7 +58,8 @@ func serverRun(ctx context.Context, server, token string, matrix sweep.Matrix, f
 	fmt.Fprintf(os.Stderr, "spsweep: sweep %.12s submitted to %s: %d jobs (%d done, %d failed so far)\n",
 		sub.SweepID, server, sub.Counts.Jobs, sub.Counts.Done, sub.Counts.Failed)
 
-	done := 0
+	start := time.Now()
+	prog := &progress{total: sub.Counts.Jobs}
 	var final *sweepd.Counts
 	for final == nil {
 		if err := ctx.Err(); err != nil {
@@ -67,16 +68,7 @@ func serverRun(ctx context.Context, server, token string, matrix sweep.Matrix, f
 		err := c.StreamEvents(sub.SweepID, func(ev sweepd.Event) bool {
 			switch ev.Type {
 			case "job":
-				done++
-				state := ev.Job.State
-				if ev.Job.Cached {
-					state = "cached"
-				}
-				if ev.Job.Error != "" {
-					state += ": " + ev.Job.Error
-				}
-				fmt.Fprintf(os.Stderr, "spsweep: [%d/%d] %-40s %6.1fs  %s\n",
-					done, sub.Counts.Jobs, ev.Job.Key, ev.Job.Seconds, state)
+				prog.line(*ev.Job)
 			case "complete":
 				final = ev.Counts
 			}
@@ -86,7 +78,7 @@ func serverRun(ctx context.Context, server, token string, matrix sweep.Matrix, f
 			// Stream dropped (server restart, network blip). The replayed
 			// stream dedups nothing client-side, so reset the counter.
 			fmt.Fprintf(os.Stderr, "spsweep: stream lost (%v); reconnecting\n", err)
-			done = 0
+			prog.done = 0
 			select {
 			case <-ctx.Done():
 			case <-time.After(2 * time.Second):
@@ -97,12 +89,7 @@ func serverRun(ctx context.Context, server, token string, matrix sweep.Matrix, f
 	if err := c.Results(sub.SweepID, format, os.Stdout); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "spsweep: %d jobs: %d cached, %d done, %d failed\n",
-		final.Jobs, final.Cached, final.Done, final.Failed)
-	if final.Failed > 0 {
-		return fmt.Errorf("%d job(s) failed", final.Failed)
-	}
-	return nil
+	return finalLine(final.Jobs, final.Cached, final.Done-final.Cached, final.Failed, time.Since(start))
 }
 
 // serverStatus prints the server's sweeps (or one sweep's jobs) and

@@ -72,9 +72,6 @@ func New(id int, sim *event.Sim, port MemPort, rt SyncRuntime, ops []workload.Op
 // Stats returns a snapshot of the core's counters.
 func (c *Core) Stats() Stats { return c.stats }
 
-// Finished reports whether the core reached OpEnd.
-func (c *Core) Finished() bool { return c.finished }
-
 // Start begins execution at the current simulator time.
 func (c *Core) Start() { c.stepFn() }
 

@@ -69,84 +69,6 @@ func TestSchedulingInPastClamps(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New()
-	count := 0
-	for i := Time(1); i <= 10; i++ {
-		s.At(i*10, func() { count++ })
-	}
-	s.RunUntil(55)
-	if count != 5 {
-		t.Fatalf("RunUntil(55) fired %d events, want 5", count)
-	}
-	if s.Pending() != 5 {
-		t.Fatalf("pending = %d, want 5", s.Pending())
-	}
-	// The clock ends at the limit, not at the last fired event (cycle 50):
-	// epoch sampling depends on RunUntil landing exactly on the boundary.
-	if s.Now() != 55 {
-		t.Fatalf("after RunUntil(55), Now() = %d, want 55", s.Now())
-	}
-	s.Run()
-	if count != 10 {
-		t.Fatalf("after Run, fired %d, want 10", count)
-	}
-}
-
-func TestRunUntilEmptyCycleWindowEndsAtLimit(t *testing.T) {
-	s := New()
-	s.At(3, func() {})
-	s.RunUntil(10) // events exist but none in (3, 10]
-	if s.Now() != 10 {
-		t.Fatalf("Now() = %d, want 10", s.Now())
-	}
-	s.RunUntil(20) // entirely empty window
-	if s.Now() != 20 {
-		t.Fatalf("Now() = %d, want 20", s.Now())
-	}
-	// Sampling epochs of width 10 from these boundaries must not drift:
-	// a later event still fires at its own time.
-	var at Time
-	s.At(25, func() { at = s.Now() })
-	s.RunUntil(30)
-	if at != 25 || s.Now() != 30 {
-		t.Fatalf("event at %d (want 25), Now() = %d (want 30)", at, s.Now())
-	}
-}
-
-func TestAdvanceTo(t *testing.T) {
-	s := New()
-	s.AdvanceTo(7)
-	if s.Now() != 7 {
-		t.Fatalf("Now() = %d, want 7", s.Now())
-	}
-	s.AdvanceTo(3) // backwards: no-op
-	if s.Now() != 7 {
-		t.Fatalf("Now() = %d after backwards AdvanceTo, want 7", s.Now())
-	}
-	// Never advances past a pending event (which would fire it late).
-	s.At(10, func() {})
-	s.AdvanceTo(50)
-	if s.Now() != 10 {
-		t.Fatalf("Now() = %d, want clamped to 10 (pending event)", s.Now())
-	}
-	if !s.Step() || s.Now() != 10 {
-		t.Fatal("pending event should still fire at its own time")
-	}
-}
-
-func TestRunWhile(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 0; i < 100; i++ {
-		s.After(Time(i), func() { count++ })
-	}
-	s.RunWhile(func() bool { return count < 7 })
-	if count != 7 {
-		t.Fatalf("RunWhile stopped at %d, want 7", count)
-	}
-}
-
 // Property: for any random schedule, events fire in nondecreasing time order
 // and all events fire exactly once.
 func TestPropertyOrdering(t *testing.T) {

@@ -254,16 +254,15 @@ func (m *ModulePass) Loaded() []*Package {
 // that must replay bit-identically, except
 //
 //   - internal/lint — the analyzer itself,
-//   - internal/sweep — the host-side sweep orchestrator, which runs
-//     *above* the DES: it schedules whole simulations onto OS threads and
-//     is explicitly concurrent. Every job it runs is still a
-//     single-threaded simulation, and its merge order stays deterministic
-//     via the always-on maprange/floatorder checks plus the package's
-//     determinism tests, and
+//   - internal/sweep — the host-side sweep matrix, artifact store and
+//     reports, *above* the DES: its store is shared by concurrent
+//     workers. Every job is still a single-threaded simulation, and its
+//     merge order stays deterministic via the always-on
+//     maprange/floatorder checks plus the package's determinism tests, and
 //   - internal/sweepd — the sweep job server, the same orchestration tier
 //     one level up: leases, wall-clock TTLs and HTTP are its job. Its
-//     merge endpoint stays byte-deterministic for the same reason the
-//     local engine's does (content-addressed results, key-ordered merge),
+//     merged reports stay byte-deterministic for the same reason
+//     internal/sweep's do (content-addressed results, key-ordered merge),
 //     enforced by its determinism tests rather than by SimOnly checks.
 //
 // Exemptions match whole path segments (the package itself or anything

@@ -80,10 +80,6 @@ type System struct {
 	Nodes []*Node
 	Dirs  []*DirSlice
 
-	// Debug, when set, observes every message at delivery time (protocol
-	// debugging aid; nil in normal operation).
-	Debug func(now event.Time, m Msg)
-
 	// obs, when set, feeds the run-time metrics layer. Nil — the default —
 	// costs one branch per message/miss/sync.
 	obs *Obs
@@ -222,9 +218,6 @@ func (s *System) sendAfter(d event.Time, m Msg) {
 }
 
 func (s *System) dispatch(m Msg) {
-	if s.Debug != nil {
-		s.Debug(s.Sim.Now(), m)
-	}
 	switch m.Kind {
 	case MsgGetS, MsgGetM, MsgPutS, MsgPutE, MsgPutM, MsgUnblock, MsgDirUpd, MsgWriteback, MsgGetRetry:
 		s.Dirs[m.Dst].handle(m)

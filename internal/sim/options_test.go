@@ -9,26 +9,6 @@ import (
 	"spcoh/internal/protocol"
 )
 
-func TestMaxCyclesAborts(t *testing.T) {
-	prog := mustProgram(t, "ocean", 16, 0.2, 1)
-	opt := DefaultOptions()
-	opt.MaxCycles = 100 // far too few
-	_, err := Run(prog, opt)
-	if err == nil || !strings.Contains(err.Error(), "exceeded") {
-		t.Fatalf("expected MaxCycles abort, got %v", err)
-	}
-}
-
-func TestMaxCyclesGenerous(t *testing.T) {
-	prog := mustProgram(t, "x264", 16, 0.1, 1)
-	opt := DefaultOptions()
-	opt.MaxCycles = 1 << 40
-	res, err := Run(prog, opt)
-	if err != nil || res.Cycles == 0 {
-		t.Fatalf("generous MaxCycles must not abort: %v", err)
-	}
-}
-
 func TestSmallMachine(t *testing.T) {
 	cfg, err := protocol.ConfigFor(4)
 	if err != nil {

@@ -5,10 +5,31 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"time"
 
 	"spcoh/internal/sim"
 	"spcoh/internal/stats"
 )
+
+// JobResult is one job's outcome in a merged report.
+type JobResult struct {
+	Job      Job
+	Result   *sim.Result
+	Err      error
+	Cached   bool          // recalled from the store, not executed
+	Attempts int           // executions this run (0 when cached)
+	Wall     time.Duration // the last attempt's wall time
+}
+
+// Report is a sweep's merged outcome. Jobs is sorted by Job.Key — never
+// by completion order — so every rendering of a Report is deterministic.
+type Report struct {
+	Jobs     []JobResult
+	Executed int // computed this run
+	Cached   int // recalled from the store
+	Failed   int // Err != nil after all attempts
+	Wall     time.Duration
+}
 
 // The renderers in this file produce the *merged output* of a sweep. They
 // must stay invariant under worker count, resume state and host speed:

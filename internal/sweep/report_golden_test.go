@@ -42,9 +42,8 @@ func goldenReport() *Report {
 	return rep
 }
 
-// TestReportGolden pins the bytes of every merged-output renderer. The
-// files were generated before the local engine moved onto the lease
-// queue; any drift here changes what `spsweep run` prints.
+// TestReportGolden pins the bytes of every merged-output renderer; any
+// drift here changes what `spsweep run` prints.
 func TestReportGolden(t *testing.T) {
 	rep := goldenReport()
 	var table, csv, js bytes.Buffer

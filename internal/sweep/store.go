@@ -22,8 +22,9 @@ const manifestVersion = 1
 
 // Store is the resumable artifact store of a sweep. Layout:
 //
-//	<dir>/<digest>.json   one completed job: {job spec, result}
-//	<dir>/manifest.json   index: job key → {digest, checksum, seed}
+//	<dir>/<digest>.json        one completed job: {job spec, result}
+//	<dir>/manifest.json        index: job key → {digest, checksum, seed}
+//	<dir>/specs/<digest>.json  scenario specs uploaded to a sweep server
 //
 // Artifacts are addressed by Job.Digest (the hash of the job's canonical
 // spec), so a resumed or re-issued sweep finds a finished cell without
@@ -33,7 +34,7 @@ const manifestVersion = 1
 // the manifest is re-persisted after every Put, so an interrupt at any
 // point leaves a consistent store.
 //
-// A Store is safe for concurrent use by the engine's workers.
+// A Store is safe for concurrent use by a sweep's workers.
 type Store struct {
 	dir string
 
@@ -241,6 +242,25 @@ func (s *Store) Sweep(id string) (Matrix, bool, error) {
 		return Matrix{}, false, nil
 	}
 	return *m, true, checkMatrixDigest(*m, id)
+}
+
+// SpecPath is where PutSpec stores the scenario spec with the given
+// content digest.
+func (s *Store) SpecPath(digest string) string {
+	return filepath.Join(s.dir, "specs", digest+".json")
+}
+
+// PutSpec stores a scenario spec's file bytes under their content digest
+// (the caller has verified the digest) and returns the path.
+func (s *Store) PutSpec(digest string, content []byte) (string, error) {
+	path := s.SpecPath(digest)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return "", fmt.Errorf("sweep: spec dir: %w", err)
+	}
+	if err := atomicWrite(path, content); err != nil {
+		return "", fmt.Errorf("sweep: store spec %.12s: %w", digest, err)
+	}
+	return path, nil
 }
 
 // Completed returns the keys of all checkpointed jobs, sorted.

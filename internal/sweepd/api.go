@@ -1,15 +1,17 @@
-// Package sweepd turns the sweep engine into a long-running multi-host
-// job service: an HTTP/JSON daemon that accepts submitted matrices,
-// decomposes them into internal/sweep's content-addressed jobs, and hands
-// them to workers through a lease protocol (TTL, heartbeat renewal,
-// expiry → requeue with bounded attempts, per-job attempt history).
+// Package sweepd is the one scheduler of sweep matrices: a lease queue
+// that hands internal/sweep's content-addressed jobs to workers (TTL,
+// heartbeat renewal, expiry → requeue with bounded attempts and jittered
+// backoff, per-job attempt history) and merges their results.
 //
-// Workers come in two forms sharing one code path (RunWorker +
-// sweep.RunAttempt): the server's in-process pool, and remote
-// `spsweep work -server <url>` processes that poll/lease/execute/push over
-// HTTP. Completed cells land in the shared sweep.Store, so a restarted
-// server resumes with zero recomputation, and the merge endpoint renders
-// results byte-identically to a local `spsweep run` of the same matrix:
+// Three drivers share it. RunLocal is `spsweep run`: the queue in-process
+// with the Server itself as the workers' WorkerAPI and no listener. The
+// spsweepd daemon serves the same queue over an HTTP/JSON API to its own
+// in-process pool and to remote `spsweep work -server <url>` processes
+// that poll/lease/execute/push. All of them run one worker loop
+// (RunWorker) and one executor (DefaultExec). Completed cells land in the
+// shared sweep.Store, so a restarted server or a resumed local run
+// recomputes nothing, and every merged report is byte-identical whichever
+// driver produced it:
 //
 //   - every cell is one deterministic simulation, so any worker, on any
 //     host, at any time produces the identical result bytes;
@@ -17,6 +19,10 @@
 //     key order, so scheduling, distribution, duplicate completions and
 //     restarts cannot reorder or alter the report;
 //   - the renderers (sweep.Format*) carry no wall times or provenance.
+//
+// Cancellation is not failure: an attempt cut by a cancelled context
+// (a stopped daemon, an interrupted local run) reports nothing, so it
+// never reaches the store's failure ledger.
 //
 // The package is host-side orchestration above the DES — goroutines,
 // wall-clock TTLs and HTTP are its job — and is therefore exempt from

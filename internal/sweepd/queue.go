@@ -3,6 +3,8 @@ package sweepd
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -79,7 +81,7 @@ type jobEntry struct {
 	expires time.Time
 
 	// notBefore gates re-leasing after a failed attempt (jittered
-	// exponential backoff, same schedule as the local engine's retries).
+	// exponential backoff, see RetryDelay).
 	notBefore time.Time
 
 	errMsg string // last attempt's error; terminal reason when stateFailed
@@ -91,8 +93,8 @@ type queueConfig struct {
 	TTL time.Duration
 	// MaxAttempts bounds executions per job (1 + retries). <= 0 means 1.
 	MaxAttempts int
-	// Backoff/BackoffSeed parameterize sweep.RetryDelay for the requeue
-	// gate after a failed attempt.
+	// Backoff/BackoffSeed parameterize RetryDelay for the requeue gate
+	// after a failed attempt.
 	Backoff     time.Duration
 	BackoffSeed int64
 	// now is the clock; tests inject a fake. nil means time.Now.
@@ -338,9 +340,33 @@ func (q *queue) requeueLocked(e *jobEntry, key, msg string, now time.Time) bool 
 		return true
 	}
 	e.state = statePending
-	e.notBefore = now.Add(sweep.RetryDelay(key, len(e.attempts)+1, q.cfg.Backoff, q.cfg.BackoffSeed))
+	e.notBefore = now.Add(RetryDelay(key, len(e.attempts)+1, q.cfg.Backoff, q.cfg.BackoffSeed))
 	q.bumpLocked()
 	return false
+}
+
+// RetryDelay returns the requeue gate before attempt k of the job with
+// the given key: base << (k-2), scaled by a jitter factor in [0.5, 1.5)
+// drawn from a rand seeded by (seed, key, k). Attempt 1 and base <= 0
+// wait nothing.
+//
+// The function is pure — the same sweep retries on the same schedule every
+// run, which keeps tests deterministic — and it never touches the global
+// math/rand source (spvet's wallclock check bans that in sim packages; the
+// orchestrator holds itself to the same rule).
+func RetryDelay(key string, attempt int, base time.Duration, seed int64) time.Duration {
+	if base <= 0 || attempt <= 1 {
+		return 0
+	}
+	exp := attempt - 2
+	if exp > 16 {
+		exp = 16 // cap the exponential; 65536x base is already absurd
+	}
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	rng := rand.New(rand.NewSource(seed ^ int64(h.Sum64()) ^ int64(attempt)<<32))
+	jitter := 0.5 + rng.Float64() // [0.5, 1.5)
+	return time.Duration(float64(base<<exp) * jitter)
 }
 
 // closeAttemptLocked stamps the end of the attempt issued as leaseID, if

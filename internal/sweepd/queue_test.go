@@ -177,7 +177,7 @@ func TestFailRequeuesWithBackoffGate(t *testing.T) {
 		t.Fatalf("first failure: terminal=%v err=%v", terminal, err)
 	}
 	// The requeue gate holds the job back for RetryDelay(key, 2, ...).
-	want := sweep.RetryDelay(j.Key(), 2, time.Second, 7)
+	want := RetryDelay(j.Key(), 2, time.Second, 7)
 	if want <= 0 {
 		t.Fatal("test needs a positive backoff delay")
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -29,17 +28,18 @@ type Options struct {
 	// LeaseTTL is the lease lifetime; heartbeats extend it. Default 1m.
 	LeaseTTL time.Duration
 	// Retries is the number of additional attempts after a job's first
-	// failed one (so MaxAttempts = 1 + Retries). Default 2.
+	// failed one (so MaxAttempts = 1 + Retries). Default 0.
 	Retries int
 	// Backoff is the base requeue delay after a failed attempt, jittered
-	// per sweep.RetryDelay. Default 1s; BackoffSeed seeds the jitter.
+	// per RetryDelay; 0 means none. BackoffSeed seeds the jitter.
 	Backoff     time.Duration
 	BackoffSeed int64
 	// Timeout bounds one attempt's wall time in the local pool (remote
 	// workers choose their own). 0 = none.
 	Timeout time.Duration
-	// LocalWorkers is the in-process worker pool size started by Start.
-	// 0 = serve leases to remote workers only.
+	// LocalWorkers is the in-process worker pool size: started by Start
+	// (0 = serve leases to remote workers only), or RunLocal's slots
+	// (<= 0 = runtime.NumCPU()).
 	LocalWorkers int
 	// Poll is the local pool's idle lease cadence. Default 200ms.
 	Poll time.Duration
@@ -65,7 +65,8 @@ type Options struct {
 // Server is the sweep job service: a lease table (queue) over the shared
 // artifact store, an HTTP/JSON API, and an optional in-process worker
 // pool. Create with New, serve Handler, call Start for the background
-// loops and Close to stop them.
+// loops and Close to stop them. RunLocal drives a private Server with no
+// listener for a local `spsweep run`.
 type Server struct {
 	opt   Options
 	store *sweep.Store
@@ -90,6 +91,26 @@ type sweepState struct {
 // back terminal ("cached") without recomputation, their unfinished cells
 // pending.
 func New(opt Options) (*Server, error) {
+	s, err := newServer(opt)
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range s.store.SweepIDs() {
+		m, ok, err := s.store.Sweep(id)
+		if err != nil {
+			return nil, fmt.Errorf("sweepd: re-adopt sweep: %w", err)
+		}
+		if !ok {
+			continue
+		}
+		s.adopt(m)
+		s.opt.Log("adopted sweep %.12s from store", id)
+	}
+	return s, nil
+}
+
+// newServer builds a Server with an empty lease table.
+func newServer(opt Options) (*Server, error) {
 	if opt.Store == nil {
 		return nil, errors.New("sweepd: Options.Store is required")
 	}
@@ -98,9 +119,6 @@ func New(opt Options) (*Server, error) {
 	}
 	if opt.Retries < 0 {
 		opt.Retries = 0
-	}
-	if opt.Backoff == 0 {
-		opt.Backoff = time.Second
 	}
 	if opt.Poll <= 0 {
 		opt.Poll = 200 * time.Millisecond
@@ -127,17 +145,6 @@ func New(opt Options) (*Server, error) {
 		sweeps: make(map[string]*sweepState),
 	}
 	s.routes()
-	for _, id := range s.store.SweepIDs() {
-		m, ok, err := s.store.Sweep(id)
-		if err != nil {
-			return nil, fmt.Errorf("sweepd: re-adopt sweep: %w", err)
-		}
-		if !ok {
-			continue
-		}
-		s.adopt(m)
-		s.opt.Log("adopted sweep %.12s from store", id)
-	}
 	return s, nil
 }
 
@@ -156,21 +163,29 @@ func (s *Server) Start() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			RunWorker(ctx, s, WorkerOptions{
-				ID:      "local",
-				Slots:   s.opt.LocalWorkers,
-				Poll:    s.opt.Poll,
-				Timeout: s.opt.Timeout,
-				Exec:    s.opt.Exec,
-				Log:     s.opt.Log,
-			})
+			RunWorker(ctx, s, s.localWorker(false))
 		}()
 	}
 }
 
-// Close stops the background loops and waits for in-flight local attempts
-// to settle. In-flight simulations are not preemptible; their leases
-// simply die with the process and a later life requeues them.
+// localWorker configures the in-process pool; drain makes it exit once
+// every job is terminal.
+func (s *Server) localWorker(drain bool) WorkerOptions {
+	return WorkerOptions{
+		ID:      "local",
+		Slots:   s.opt.LocalWorkers,
+		Poll:    s.opt.Poll,
+		Timeout: s.opt.Timeout,
+		Drain:   drain,
+		Exec:    s.opt.Exec,
+		Log:     s.opt.Log,
+	}
+}
+
+// Close stops the background loops and waits for the local pool to
+// return. Attempts it cuts report nothing (cancelled is not failed): their
+// simulations are not preemptible, their leases die with the process, and
+// a later life leases the cells again.
 func (s *Server) Close() {
 	if s.cancel != nil {
 		s.cancel()
@@ -198,14 +213,6 @@ func (s *Server) expiryLoop(ctx context.Context) {
 			}
 		}
 	}
-}
-
-// specDir is where uploaded scenario specs live inside the store
-// directory, content-addressed by digest.
-func (s *Server) specDir() string { return filepath.Join(s.store.Dir(), "specs") }
-
-func (s *Server) specPath(digest string) string {
-	return filepath.Join(s.specDir(), digest+".json")
 }
 
 // Submit registers a matrix (idempotently: the sweep ID is the matrix
@@ -237,12 +244,9 @@ func (s *Server) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 		if !ok {
 			return nil, fmt.Errorf("spec %q (%.12s) referenced by the matrix but not uploaded", ref.Name, ref.Digest)
 		}
-		path := s.specPath(ref.Digest)
-		if err := os.MkdirAll(s.specDir(), 0o755); err != nil {
-			return nil, fmt.Errorf("sweepd: spec dir: %w", err)
-		}
-		if err := atomicWrite(path, content); err != nil {
-			return nil, fmt.Errorf("sweepd: store spec %.12s: %w", ref.Digest, err)
+		path, err := s.store.PutSpec(ref.Digest, content)
+		if err != nil {
+			return nil, err
 		}
 		m.Specs[i].Path = path
 	}
@@ -273,13 +277,12 @@ func (s *Server) adopt(m sweep.Matrix) *sweepState {
 		keys[i] = j.Key()
 		specPath := ""
 		if j.SpecDigest != "" {
-			// Specs are content-addressed inside the store; the path
-			// recorded in the matrix is advisory (it is rewritten to the
-			// store location at submit time, but a manifest hand-moved
-			// from another host still resolves).
-			specPath = j.SpecPath
+			// Submitted specs are content-addressed inside the store, so
+			// a manifest hand-moved from another host still resolves; a
+			// local run reads the file its matrix names.
+			specPath = s.store.SpecPath(j.SpecDigest)
 			if _, err := os.Stat(specPath); err != nil {
-				specPath = s.specPath(j.SpecDigest)
+				specPath = j.SpecPath
 			}
 		}
 		_, done := s.store.Lookup(j)
@@ -309,10 +312,11 @@ func (s *Server) sweepIDs() []string {
 
 // report assembles the deterministic merged report of a fully terminal
 // sweep: jobs in key order, results recalled from the content-addressed
-// store, failures rendered exactly as the local engine renders them. The
-// bytes of every sweep.Format* rendering are therefore identical to a
-// local `spsweep run` of the same matrix, regardless of worker count,
-// distribution, duplicate completions or server restarts.
+// store, failures as "sweep: <key>: <last attempt error>". Local runs and
+// the merge endpoint both render it, so the bytes of every sweep.Format*
+// rendering are identical for any worker count, distribution, duplicate
+// completion or server restart. Wall and Attempts come from the queue's
+// attempt records (the last attempt's wall time).
 func (s *Server) report(ss *sweepState) (*sweep.Report, error) {
 	rep := &sweep.Report{}
 	statuses := s.q.status(ss.keys)
@@ -321,8 +325,13 @@ func (s *Server) report(ss *sweepState) (*sweep.Report, error) {
 		byKey[js.Key] = js
 	}
 	for _, j := range ss.matrix.Jobs() {
-		jr := sweep.JobResult{Job: j}
 		js := byKey[j.Key()]
+		jr := sweep.JobResult{
+			Job:      j,
+			Cached:   js.Cached,
+			Attempts: js.Attempts,
+			Wall:     time.Duration(js.Seconds * float64(time.Second)),
+		}
 		switch js.State {
 		case "done":
 			res, ok := s.store.Lookup(j)
@@ -330,13 +339,8 @@ func (s *Server) report(ss *sweepState) (*sweep.Report, error) {
 				return nil, fmt.Errorf("sweepd: %s is done but its artifact is missing from the store", j.Key())
 			}
 			jr.Result = res
-			jr.Cached = js.Cached
-			jr.Attempts = js.Attempts
 		case "failed":
-			// Match the local engine's terminal error shape
-			// (sweep: <key>: <last attempt error>).
 			jr.Err = fmt.Errorf("sweep: %s: %s", j.Key(), js.Error)
-			jr.Attempts = js.Attempts
 		default:
 			return nil, fmt.Errorf("sweepd: %s is %s; the sweep is not terminal", j.Key(), js.State)
 		}
@@ -368,7 +372,7 @@ func (s *Server) Lease(worker string) (*Grant, bool, error) {
 		if err != nil {
 			// The cell cannot run anywhere without its spec; report the
 			// attempt failed and let the retry budget decide.
-			msg := fmt.Sprintf("spec unavailable on server: %v", err)
+			msg := fmt.Sprintf("spec unavailable: %v", err)
 			if job, terminal, ferr := s.q.fail(g.leaseID, msg); ferr == nil && terminal {
 				_ = s.store.MarkFailed(job, msg)
 			}
@@ -572,28 +576,44 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	seen := make(map[string]bool, len(ss.keys))
-	for {
-		ch := s.q.watch()
-		events, done := s.q.terminalStatuses(ss.keys, seen)
+	err := s.follow(r.Context(), ss.keys, func(events []JobStatus) error {
 		for i := range events {
 			if err := enc.Encode(Event{Type: "job", Job: &events[i]}); err != nil {
-				return
+				return err
 			}
 		}
+		flusher.Flush()
+		return nil
+	})
+	if err != nil {
+		return
+	}
+	c := s.q.counts(ss.keys)
+	_ = enc.Encode(Event{Type: "complete", SweepID: id, Counts: &c})
+	flusher.Flush()
+}
+
+// follow hands emit the terminal statuses of keys (sorted): the current
+// ones in key order, then each later transition as it happens. It returns
+// nil once every key is terminal, or the error that ended it early —
+// ctx's, or emit's own.
+func (s *Server) follow(ctx context.Context, keys []string, emit func([]JobStatus) error) error {
+	seen := make(map[string]bool, len(keys))
+	for {
+		ch := s.q.watch()
+		events, done := s.q.terminalStatuses(keys, seen)
 		if len(events) > 0 {
-			flusher.Flush()
+			if err := emit(events); err != nil {
+				return err
+			}
 		}
 		if done {
-			c := s.q.counts(ss.keys)
-			_ = enc.Encode(Event{Type: "complete", SweepID: id, Counts: &c})
-			flusher.Flush()
-			return
+			return nil
 		}
 		select {
 		case <-ch:
-		case <-r.Context().Done():
-			return
+		case <-ctx.Done():
+			return ctx.Err()
 		}
 	}
 }
@@ -683,22 +703,4 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 		return
 	}
 	writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
-}
-
-// atomicWrite writes data via temp file + rename, like the store's.
-func atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

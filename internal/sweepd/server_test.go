@@ -65,11 +65,7 @@ func testServerMatrix() sweep.Matrix {
 // startServer builds a Server over dir and exposes it via httptest.
 func startServer(t *testing.T, dir string, opt Options) (*Server, *Client, func()) {
 	t.Helper()
-	store, err := sweep.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Store = store
+	opt.Store = openStore(t, dir)
 	srv, err := New(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -90,12 +86,15 @@ func drainWorker(t *testing.T, c *Client, id string, slots int, exec ExecFunc) {
 	})
 }
 
-// localRunJSON renders the matrix through the local engine with the same
-// result function, the reference bytes for every server comparison.
+// localRunJSON renders the matrix through RunLocal (the local `spsweep
+// run`) on a fresh store with the same result function.
 func localRunJSON(t *testing.T, m sweep.Matrix) []byte {
 	t.Helper()
-	run := func(j sweep.Job) (*sim.Result, error) { return fakeResult(j), nil }
-	rep := sweep.Run(context.Background(), m.Jobs(), run, sweep.Options{Workers: 1})
+	ex := &countingExec{}
+	rep, err := RunLocal(context.Background(), m, Options{Store: openStore(t, t.TempDir()), LocalWorkers: 1, Exec: ex.exec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Failed != 0 {
 		t.Fatalf("local reference run failed: %+v", rep)
 	}
@@ -104,6 +103,15 @@ func localRunJSON(t *testing.T, m sweep.Matrix) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+func openStore(t *testing.T, dir string) *sweep.Store {
+	t.Helper()
+	store, err := sweep.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
 }
 
 func serverResultsJSON(t *testing.T, c *Client, sweepID string) []byte {
@@ -115,15 +123,25 @@ func serverResultsJSON(t *testing.T, c *Client, sweepID string) []byte {
 	return buf.Bytes()
 }
 
-// TestServerResultsByteIdenticalToLocalRun is the tentpole's core
-// acceptance: the server's merged output matches a local `spsweep run`
-// byte for byte, for more than one worker count.
-func TestServerResultsByteIdenticalToLocalRun(t *testing.T) {
+// goldenMatrix and goldenFailKey mirror internal/sweep's report golden
+// test: the merged report of this matrix, with fakeResult in every cell
+// but one failed, is pinned in ../sweep/testdata.
+func goldenMatrix() sweep.Matrix {
 	m := testServerMatrix()
-	want := localRunJSON(t, m)
+	m.Seeds = []int64{42, 7}
+	return m
+}
 
+const goldenFailKey = "x264/sp/t16/x0.25/s7"
+
+// TestServerResultsByteIdenticalToLocalRun is the sweep server's core
+// acceptance: its merged output in every format matches the pinned bytes
+// of a local `spsweep run`, failed cell included, for more than one
+// worker count.
+func TestServerResultsByteIdenticalToLocalRun(t *testing.T) {
+	m := goldenMatrix()
 	for _, workers := range []int{1, 3} {
-		ex := &countingExec{}
+		ex := &countingExec{failFn: func(j sweep.Job) bool { return j.Key() == goldenFailKey }}
 		_, c, stop := startServer(t, t.TempDir(), Options{Exec: ex.exec})
 		sub, err := c.Submit(&SubmitRequest{Matrix: m})
 		if err != nil {
@@ -133,9 +151,23 @@ func TestServerResultsByteIdenticalToLocalRun(t *testing.T) {
 			t.Fatalf("workers=%d: submit counts %+v", workers, sub.Counts)
 		}
 		drainWorker(t, c, "w", workers, ex.exec)
-		got := serverResultsJSON(t, c, sub.SweepID)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: server results differ from local run\nserver:\n%s\nlocal:\n%s", workers, got, want)
+		for _, f := range []struct{ format, file string }{
+			{"table", "report_golden.txt"},
+			{"csv", "report_golden.csv"},
+			{"json", "report_golden.json"},
+		} {
+			want, err := os.ReadFile(filepath.Join("..", "sweep", "testdata", f.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := c.Results(sub.SweepID, f.format, &got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("workers=%d: server %s results differ from the local-run golden\nserver:\n%s\ngolden:\n%s",
+					workers, f.format, got.Bytes(), want)
+			}
 		}
 		if n := ex.runs.Load(); n != int64(len(m.Jobs())) {
 			t.Fatalf("workers=%d: %d executions for %d jobs", workers, n, len(m.Jobs()))
@@ -479,5 +511,65 @@ func TestResultsBeforeTerminalConflicts(t *testing.T) {
 	if err := c.Results(sub.SweepID, "json", &buf); err == nil ||
 		!strings.Contains(err.Error(), "not finished") {
 		t.Fatalf("results on a pending sweep: %v", err)
+	}
+}
+
+// TestCloseDuringAttemptLeavesLedgerClean stops a daemon while its local
+// pool is inside an attempt, with no retry budget: the cut attempt is
+// cancelled, not failed, so it must not reach the store's failure ledger
+// (which would make `spsweep status` fail for a merely stopped daemon).
+func TestCloseDuringAttemptLeavesLedgerClean(t *testing.T) {
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	defer close(release)
+	blocking := func(j sweep.Job, _ *scenario.Spec) (*sim.Result, error) {
+		started <- struct{}{}
+		<-release
+		return fakeResult(j), nil
+	}
+	dir := t.TempDir()
+	srv, c, stop := startServer(t, dir, Options{Exec: blocking, Retries: 0, LocalWorkers: 1, Poll: time.Millisecond})
+	defer stop()
+	sub, err := c.Submit(&SubmitRequest{Matrix: testServerMatrix()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	<-started
+	srv.Close()
+
+	if failed := openStore(t, dir).FailedCells(); len(failed) != 0 {
+		t.Fatalf("stopping the daemon wrote the failure ledger: %v", failed)
+	}
+	st, err := c.Status(sub.SweepID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Counts.Failed != 0 {
+		t.Fatalf("a cancelled attempt failed its job: %+v", st.Counts)
+	}
+}
+
+// TestZeroBackoffMeansNoGate: Backoff 0 requeues a failed job for
+// immediate re-lease (`spsweepd -backoff 0`, and local runs, whose
+// -backoff defaults to 0).
+func TestZeroBackoffMeansNoGate(t *testing.T) {
+	clk := newFakeClock()
+	ex := &countingExec{}
+	srv, c, stop := startServer(t, t.TempDir(), Options{Exec: ex.exec, Retries: 1, Backoff: 0, now: clk.now})
+	defer stop()
+	if _, err := c.Submit(&SubmitRequest{Matrix: testServerMatrix()}); err != nil {
+		t.Fatal(err)
+	}
+	g1, _, err := srv.Lease("w")
+	if err != nil || g1 == nil {
+		t.Fatalf("lease: %v %v", g1, err)
+	}
+	if err := srv.Fail(g1.LeaseID, "transient"); err != nil {
+		t.Fatal(err)
+	}
+	g2, _, err := srv.Lease("w") // the clock has not moved
+	if err != nil || g2 == nil || g2.Job.Key() != g1.Job.Key() {
+		t.Fatalf("re-lease after a failure with zero backoff: got %v err=%v, want %s", g2, err, g1.Job.Key())
 	}
 }

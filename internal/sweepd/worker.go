@@ -16,7 +16,8 @@ import (
 // WorkerAPI is everything a worker needs from its job source. Two
 // implementations share every caller: *Client (HTTP, for
 // `spsweep work -server`) and *Server (direct calls, for the daemon's
-// in-process pool) — one worker code path, two transports.
+// in-process pool and for local `spsweep run`) — one worker code path,
+// two transports.
 type WorkerAPI interface {
 	// Lease requests one job. A nil grant means no job is available;
 	// drained additionally means every known job is terminal.
@@ -35,9 +36,9 @@ type WorkerAPI interface {
 // scenario-spec cells, already verified against Job.SpecDigest.
 type ExecFunc func(j sweep.Job, spec *scenario.Spec) (*sim.Result, error)
 
-// DefaultExec runs the cell through internal/experiments — the same
-// executor a local spsweep run uses, so a cell computes identical bytes
-// wherever it lands.
+// DefaultExec runs the cell through internal/experiments. Local runs,
+// the daemon's pool and remote workers all execute through it, so a cell
+// computes identical bytes wherever it lands.
 func DefaultExec(j sweep.Job, spec *scenario.Spec) (*sim.Result, error) {
 	if j.SpecDigest == "" {
 		return experiments.RunCell(j.RunConfig, j.Bench, j.Kind)
@@ -59,8 +60,8 @@ type WorkerOptions struct {
 	// available (and the retry wait after a transport error); <= 0 means
 	// 200ms.
 	Poll time.Duration
-	// Timeout bounds one attempt's wall time (sweep.RunAttempt's
-	// backstop); 0 means none. The lease TTL still protects the server: a
+	// Timeout bounds one attempt's wall time (runAttempt's backstop); 0
+	// means none. The lease TTL still protects the server: a
 	// hung worker stops heartbeating only if it dies, but a timed-out
 	// attempt reports Fail promptly.
 	Timeout time.Duration
@@ -76,11 +77,11 @@ type WorkerOptions struct {
 
 // RunWorker leases, executes and reports jobs until ctx is canceled (or,
 // with Drain, until the server has no work left). It is the one worker
-// code path: the daemon's in-process pool calls it with the Server itself
-// as api; `spsweep work` calls it with an HTTP *Client. Every attempt is
-// contained by sweep.RunAttempt (panic → error, optional timeout), and
-// every scenario-spec cell re-verifies its spec content against the digest
-// in the job identity before executing.
+// code path: the daemon's in-process pool and RunLocal call it with the
+// Server itself as api; `spsweep work` calls it with an HTTP *Client.
+// Every attempt is contained by runAttempt (panic → error, optional
+// timeout), and every scenario-spec cell re-verifies its spec content
+// against the digest in the job identity before executing.
 func RunWorker(ctx context.Context, api WorkerAPI, opt WorkerOptions) {
 	if opt.ID == "" {
 		opt.ID = "worker"
@@ -115,13 +116,19 @@ func RunWorker(ctx context.Context, api WorkerAPI, opt WorkerOptions) {
 // workerLoop is one lease slot.
 func workerLoop(ctx context.Context, api WorkerAPI, opt WorkerOptions, id string) {
 	for ctx.Err() == nil {
+		// An in-process server wakes an idle slot on its next queue
+		// transition; over HTTP the slot waits out the poll interval.
+		var wake <-chan struct{}
+		if s, ok := api.(*Server); ok {
+			wake = s.q.watch()
+		}
 		g, drained, err := api.Lease(id)
 		if err != nil {
 			// Transport errors (server restarting, network blip) are
 			// retried at the poll cadence; the lease protocol makes the
 			// retry safe.
 			opt.Log("%s: lease: %v", id, err)
-			if sleepCtx(ctx, opt.Poll) != nil {
+			if sleepCtx(ctx, opt.Poll, nil) != nil {
 				return
 			}
 			continue
@@ -130,7 +137,7 @@ func workerLoop(ctx context.Context, api WorkerAPI, opt WorkerOptions, id string
 			if drained && opt.Drain {
 				return
 			}
-			if sleepCtx(ctx, opt.Poll) != nil {
+			if sleepCtx(ctx, opt.Poll, wake) != nil {
 				return
 			}
 			continue
@@ -151,7 +158,7 @@ func runGrant(ctx context.Context, api WorkerAPI, opt WorkerOptions, id string, 
 		}
 		if d := sp.Digest(); d != job.SpecDigest {
 			reportFail(api, opt, id, g, fmt.Sprintf(
-				"spec digest mismatch: payload %.12s, job wants %.12s", d, job.SpecDigest))
+				"spec changed since the sweep was assembled: content hashes to %.12s, job wants %.12s", d, job.SpecDigest))
 			return
 		}
 		spec = sp
@@ -167,13 +174,20 @@ func runGrant(ctx context.Context, api WorkerAPI, opt WorkerOptions, id string, 
 		heartbeatLoop(hbCtx, api, g)
 	}()
 
-	run := func(sweep.Job) (*sim.Result, error) { return opt.Exec(job, spec) }
 	start := time.Now()
-	res, err := sweep.RunAttempt(ctx, job, run, opt.Timeout)
+	res, err := runAttempt(ctx, opt.Timeout, func() (*sim.Result, error) { return opt.Exec(job, spec) })
 	stopHB()
 	hbDone.Wait()
 
 	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
+			// Cancelled is not failed: report nothing. The lease lapses,
+			// so the cut attempt never reaches the failure ledger or
+			// spends the job's retry budget here; the cell stays pending
+			// for the next life or 'spsweep resume'.
+			opt.Log("%s: %s: cancelled after %.1fs", id, job.Key(), time.Since(start).Seconds())
+			return
+		}
 		reportFail(api, opt, id, g, err.Error())
 		return
 	}
@@ -185,6 +199,41 @@ func runGrant(ctx context.Context, api WorkerAPI, opt WorkerOptions, id string, 
 		opt.Log("%s: %s: duplicate (completed elsewhere) %.1fs", id, job.Key(), time.Since(start).Seconds())
 	default:
 		opt.Log("%s: %s: ok %.1fs", id, job.Key(), time.Since(start).Seconds())
+	}
+}
+
+// runAttempt runs one attempt with panic recovery and an optional
+// wall-clock timeout: a panic becomes an error, and a timed-out or
+// cancelled attempt returns at once while its goroutine runs on to
+// completion in the background (a simulation is not preemptible).
+func runAttempt(ctx context.Context, timeout time.Duration, run func() (*sim.Result, error)) (*sim.Result, error) {
+	type outcome struct {
+		res *sim.Result
+		err error
+	}
+	ch := make(chan outcome, 1)
+	go func() {
+		defer func() {
+			if p := recover(); p != nil {
+				ch <- outcome{err: fmt.Errorf("panic: %v", p)}
+			}
+		}()
+		res, err := run()
+		ch <- outcome{res: res, err: err}
+	}()
+	var expired <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expired = t.C
+	}
+	select {
+	case o := <-ch:
+		return o.res, o.err
+	case <-expired:
+		return nil, fmt.Errorf("timed out after %s", timeout)
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 }
 
@@ -222,15 +271,15 @@ func heartbeatLoop(ctx context.Context, api WorkerAPI, g *Grant) {
 	}
 }
 
-// sleepCtx waits d or until ctx is canceled.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
+// sleepCtx waits d, or until wake fires (a nil wake never does); it
+// errors only when ctx is canceled first.
+func sleepCtx(ctx context.Context, d time.Duration, wake <-chan struct{}) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
+		return nil
+	case <-wake:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

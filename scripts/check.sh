@@ -21,6 +21,10 @@
 #   spsweep smoke quick-scale sweep end to end: run, resume (must recall
 #                 every cell from the store), byte-compare the merged
 #                 outputs, status must report all cells complete
+#   spsweep interrupt smoke  SIGINT to a local run after its first
+#                 progress line: non-zero exit, empty stdout, status exits
+#                 0 (cut cells pending, not failed), and resume's output is
+#                 byte-identical to an uninterrupted run of the same matrix
 #   spsweepd smoke the sweep job server end to end: daemon on an ephemeral
 #                 port with bearer-token auth enabled, the same tiny matrix
 #                 submitted over HTTP and executed by two concurrent remote
@@ -116,6 +120,40 @@ grep -q "4 cached, 0 executed, 0 failed" "$sweepdir/run2.log" || {
 }
 "$sweepdir/spsweep" status -dir "$sweepdir/store" | grep -q "4/4 complete, 0 pending" || {
     echo "spsweep: status does not report a complete store" >&2
+    exit 1
+}
+
+echo "== spsweep interrupt smoke (SIGINT / status / resume == uninterrupted run)"
+intmatrix="-bench ocean,fluidanimate,radiosity -kinds dir,sp -scales 0.3"
+# $intmatrix is deliberately unquoted: it holds flags and their values.
+"$sweepdir/spsweep" run $intmatrix -jobs 2 -dir "$sweepdir/fullstore" \
+    -summary "" -format json > "$sweepdir/full.json" 2> "$sweepdir/full.log"
+"$sweepdir/spsweep" run $intmatrix -jobs 1 -dir "$sweepdir/intstore" \
+    -summary "$sweepdir/intsummary.json" -format json \
+    > "$sweepdir/int.json" 2> "$sweepdir/int.log" &
+intrun=$!
+i=0
+while ! grep -q '\[1/6\]' "$sweepdir/int.log" && [ "$i" -lt 600 ]; do sleep 0.05; i=$((i+1)); done
+kill -INT "$intrun"
+if wait "$intrun"; then
+    echo "spsweep: interrupted run exited 0:" >&2
+    cat "$sweepdir/int.log" >&2
+    exit 1
+fi
+if [ -s "$sweepdir/int.json" ] || [ -e "$sweepdir/intsummary.json" ]; then
+    echo "spsweep: interrupted run wrote merged output or a summary:" >&2
+    cat "$sweepdir/int.json" "$sweepdir/int.log" >&2
+    exit 1
+fi
+"$sweepdir/spsweep" status -dir "$sweepdir/intstore" > "$sweepdir/intstatus.txt" || {
+    echo "spsweep: status fails after an interrupt (cut cells reached the failure ledger):" >&2
+    cat "$sweepdir/intstatus.txt" >&2
+    exit 1
+}
+"$sweepdir/spsweep" resume -jobs 2 -dir "$sweepdir/intstore" -summary "" -format json \
+    > "$sweepdir/resumed.json" 2> "$sweepdir/resumed.log"
+cmp "$sweepdir/resumed.json" "$sweepdir/full.json" || {
+    echo "spsweep: resumed output differs from an uninterrupted run" >&2
     exit 1
 }
 
