@@ -55,7 +55,7 @@ func run(args []string) error {
 	leaseTTL := fs.Duration("lease-ttl", time.Minute, "job lease lifetime; heartbeats extend it")
 	retries := fs.Int("retries", 2, "additional attempts per job after a failed one")
 	timeout := fs.Duration("timeout", 0, "per-attempt wall-clock timeout for local workers (0 = none)")
-	backoff := fs.Duration("backoff", time.Second, "base requeue delay after a failed attempt (jittered)")
+	backoff := fs.Duration("backoff", time.Second, "base requeue delay after a failed attempt, jittered (0 = none)")
 	backoffSeed := fs.Int64("backoff-seed", 0, "seed for the requeue jitter")
 	poll := fs.Duration("poll", 200*time.Millisecond, "local pool idle lease cadence")
 	quiet := fs.Bool("quiet", false, "suppress per-event log lines")

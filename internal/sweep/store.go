@@ -101,9 +101,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // HasManifestFile reports whether a manifest has ever been persisted — the
 // distinction between "fresh directory" and "interrupted sweep" that the
 // resume subcommand needs.

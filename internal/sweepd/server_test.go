@@ -573,3 +573,28 @@ func TestZeroBackoffMeansNoGate(t *testing.T) {
 		t.Fatalf("re-lease after a failure with zero backoff: got %v err=%v, want %s", g2, err, g1.Job.Key())
 	}
 }
+
+// TestRunLocalRunsOnlyItsMatrix: a local run over a store a daemon also
+// uses schedules its own cells only, not the sweeps registered there.
+func TestRunLocalRunsOnlyItsMatrix(t *testing.T) {
+	store := openStore(t, t.TempDir())
+	other := testServerMatrix()
+	other.Seeds = []int64{7}
+	if err := store.AddSweep(other); err != nil {
+		t.Fatal(err)
+	}
+	ex := &countingExec{}
+	m := testServerMatrix()
+	rep, err := RunLocal(context.Background(), m, Options{Store: store, LocalWorkers: 2, Exec: ex.exec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ex.runs.Load(); n != int64(len(m.Jobs())) || rep.Executed != len(m.Jobs()) {
+		t.Fatalf("executed %d cells (report: %d), want the matrix's %d", n, rep.Executed, len(m.Jobs()))
+	}
+	for _, j := range other.Jobs() {
+		if _, ok := store.Lookup(j); ok {
+			t.Fatalf("local run computed %s of a registered sweep", j.Key())
+		}
+	}
+}

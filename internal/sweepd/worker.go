@@ -126,9 +126,10 @@ func workerLoop(ctx context.Context, api WorkerAPI, opt WorkerOptions, id string
 		if err != nil {
 			// Transport errors (server restarting, network blip) are
 			// retried at the poll cadence; the lease protocol makes the
-			// retry safe.
+			// retry safe. An in-process server errs only after failing
+			// the attempt, which already fired wake.
 			opt.Log("%s: lease: %v", id, err)
-			if sleepCtx(ctx, opt.Poll, nil) != nil {
+			if sleepCtx(ctx, opt.Poll, wake) != nil {
 				return
 			}
 			continue
