@@ -1,9 +1,7 @@
 // Command spsweep runs the paper's evaluation matrix — benchmark ×
 // configuration × seed × scale — as independent simulation jobs on -jobs
 // worker slots, checkpointing every completed cell into a resumable
-// artifact store (see internal/sweep). A local run schedules through the
-// same lease queue as the spsweepd daemon, in-process and without a
-// listener (see internal/sweepd).
+// artifact store (see internal/sweep).
 //
 // Usage:
 //
@@ -14,41 +12,34 @@
 //	               [-summary results/BENCH_sweep.json]
 //	spsweep resume [-jobs N] [-timeout ...] [-retries ...] [-dir ...]
 //	               [-format ...] [-summary ...]       # continue an interrupted sweep
-//	spsweep status [-dir ...] | [-server URL [-sweep ID]]
-//	                                                  # completion state; exits non-zero
+//	spsweep status [-dir ...] [-v]                    # completion state; exits non-zero
 //	                                                  # when any cell terminally failed
 //	spsweep list   [matrix flags]                     # expanded jobs + digests
-//	spsweep run     -server URL [matrix flags]        # submit to spsweepd, stream, merge
-//	spsweep work    -server URL [-jobs N] [-drain]    # remote worker: lease/execute/push
-//	spsweep results -server URL [-sweep ID]           # fetch a finished sweep's merge
-//
-// Server commands take -token (default $SPSWEEPD_TOKEN) when the daemon
-// requires bearer-token authentication.
 //
 // The merged output (stdout) is sorted by job key and byte-identical for
-// any -jobs value — and, in server mode, for any worker count,
-// distribution or server restart; timing and scheduling details go to
-// stderr and the -summary file. An interrupted local run prints no merged
-// output and writes no summary; it exits non-zero with a resume hint.
+// any -jobs value or resume state; timing and scheduling details go to
+// stderr and the -summary file. An unknown -format or an unrunnable
+// matrix is refused before the store is opened. An interrupted run prints
+// no merged output and writes no summary; it exits non-zero with a resume
+// hint.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"spcoh/internal/detutil"
 	"spcoh/internal/experiments"
 	"spcoh/internal/scenario"
 	"spcoh/internal/sweep"
-	"spcoh/internal/sweepd"
 	"spcoh/internal/workload"
 )
 
@@ -67,10 +58,6 @@ func main() {
 		err = cmdStatus(os.Args[2:])
 	case "list":
 		err = cmdList(os.Args[2:])
-	case "work":
-		err = cmdWork(os.Args[2:])
-	case "results":
-		err = cmdResults(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -86,16 +73,13 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: spsweep <run|resume|status|list|work|results> [flags]
+	fmt.Fprintln(os.Stderr, `usage: spsweep <run|resume|status|list> [flags]
 
   run     execute a sweep matrix, checkpointing each finished job
-          (-server URL submits it to a spsweepd daemon instead)
   resume  continue the interrupted sweep recorded in the store's manifest
-  status  report completion state of a store or a spsweepd server;
+  status  report completion state of a store;
           exits non-zero when any cell terminally failed
   list    print the expanded job matrix and digests
-  work    serve a spsweepd daemon as a remote worker (lease/execute/push)
-  results fetch a finished sweep's merged results from a spsweepd server
 
 Run 'spsweep <subcommand> -h' for flags.`)
 }
@@ -132,7 +116,7 @@ func (m *matrixFlags) matrix() (sweep.Matrix, error) {
 		benches = splitList(*m.bench)
 	}
 	// Spec references resolve at flag-parse time: the digest computed here
-	// is the cell identity, and each lease re-verifies the file against it.
+	// is the cell identity, and each attempt re-verifies the file against it.
 	var specRefs []sweep.SpecRef
 	for _, path := range splitList(*m.specs) {
 		s, err := scenario.Load(path)
@@ -199,11 +183,8 @@ func cmdRun(args []string, resume bool) error {
 	}
 	fs := flag.NewFlagSet("spsweep "+name, flag.ExitOnError)
 	var mf *matrixFlags
-	var server, token *string
 	if !resume {
 		mf = addMatrixFlags(fs)
-		server = fs.String("server", "", "submit to this spsweepd base URL instead of running locally")
-		token = serverTokenFlag(fs)
 	}
 	jobs := fs.Int("jobs", runtime.NumCPU(), "worker pool size")
 	timeout := fs.Duration("timeout", 0, "per-attempt wall-clock timeout (0 = none)")
@@ -215,19 +196,17 @@ func cmdRun(args []string, resume bool) error {
 	summary := fs.String("summary", "results/BENCH_sweep.json", `summary JSON path ("" disables)`)
 	fs.Parse(args)
 
-	// A fresh matrix is checked before any store is created.
+	// The output format and a fresh matrix are checked before any store
+	// is created.
+	render, err := renderer(*format)
+	if err != nil {
+		return err
+	}
 	var matrix sweep.Matrix
 	if !resume {
-		m, err := mf.matrix()
-		if err != nil {
+		if matrix, err = mf.matrix(); err != nil {
 			return err
 		}
-		if *server != "" {
-			ctx, stop := signalContext()
-			defer stop()
-			return serverRun(ctx, *server, *token, m, *format)
-		}
-		matrix = m
 	}
 
 	store, err := sweep.Open(*dir)
@@ -250,23 +229,27 @@ func cmdRun(args []string, resume bool) error {
 		return err
 	}
 	allJobs := matrix.Jobs()
+	workers := *jobs
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
 	fmt.Fprintf(os.Stderr, "spsweep: %s: %d jobs (%d benches x %d kinds x %d seeds x %d scales) on %d workers\n",
-		name, len(allJobs), len(matrix.Benches), len(matrix.Kinds), len(matrix.Seeds), len(matrix.Scales), *jobs)
+		name, len(allJobs), len(matrix.Benches), len(matrix.Kinds), len(matrix.Seeds), len(matrix.Scales), workers)
 
 	// SIGINT/SIGTERM end the sweep: completed cells are already
 	// checkpointed and cut ones report nothing, so 'spsweep resume' picks
 	// up from there.
-	ctx, stop := signalContext()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	prog := &progress{total: len(allJobs)}
-	rep, err := sweepd.RunLocal(ctx, matrix, sweepd.Options{
-		Store:        store,
-		Retries:      *retries,
-		Backoff:      *backoff,
-		BackoffSeed:  *backoffSeed,
-		Timeout:      *timeout,
-		LocalWorkers: *jobs,
+	rep, err := sweep.Run(ctx, matrix, sweep.Options{
+		Store:       store,
+		Workers:     workers,
+		Retries:     *retries,
+		Backoff:     *backoff,
+		BackoffSeed: *backoffSeed,
+		Timeout:     *timeout,
 	}, prog.line)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -275,71 +258,60 @@ func cmdRun(args []string, resume bool) error {
 		return err
 	}
 
-	switch *format {
-	case "table":
-		rep.FormatTable(os.Stdout)
-	case "csv":
-		if err := rep.FormatCSV(os.Stdout); err != nil {
-			return err
-		}
-	case "json":
-		if err := rep.FormatJSON(os.Stdout); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown format %q (table|csv|json)", *format)
+	if err := render(rep, os.Stdout); err != nil {
+		return err
 	}
-
 	if *summary != "" {
-		if err := sweep.WriteSummary(*summary, rep.Summarize(matrix, *jobs)); err != nil {
+		if err := sweep.WriteSummary(*summary, rep.Summarize(matrix, workers)); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "spsweep: summary written to %s\n", *summary)
 	}
-	return finalLine(len(allJobs), rep.Cached, rep.Executed, rep.Failed, rep.Wall)
+	fmt.Fprintf(os.Stderr, "spsweep: %d jobs: %d cached, %d executed, %d failed in %.1fs\n",
+		len(allJobs), rep.Cached, rep.Executed, rep.Failed, rep.Wall.Seconds())
+	if rep.Failed > 0 {
+		return fmt.Errorf("%d job(s) failed", rep.Failed)
+	}
+	return nil
 }
 
-// progress prints one stderr line per finished job, for local and
-// server runs alike. Display only: lines arrive in completion order.
+// renderer resolves -format to the merged-output renderer.
+func renderer(format string) (func(*sweep.Report, io.Writer) error, error) {
+	switch format {
+	case "table":
+		return func(r *sweep.Report, w io.Writer) error { r.FormatTable(w); return nil }, nil
+	case "csv":
+		return (*sweep.Report).FormatCSV, nil
+	case "json":
+		return (*sweep.Report).FormatJSON, nil
+	}
+	return nil, fmt.Errorf("unknown format %q (table|csv|json)", format)
+}
+
+// progress prints one stderr line per finished job. Display only: lines
+// arrive in completion order.
 type progress struct {
 	done, total int
 }
 
-func (p *progress) line(js sweepd.JobStatus) {
+func (p *progress) line(jr sweep.JobResult) {
 	p.done++
 	state := "ok"
 	switch {
-	case js.State == "failed":
-		state = "FAIL: " + js.Error
-	case js.Cached:
+	case jr.Err != nil:
+		// The line already names the job; drop the error's key prefix.
+		state = "FAIL: " + strings.TrimPrefix(jr.Err.Error(), "sweep: "+jr.Job.Key()+": ")
+	case jr.Cached:
 		state = "cached"
 	}
-	fmt.Fprintf(os.Stderr, "spsweep: [%d/%d] %-40s %6.1fs  %s\n", p.done, p.total, js.Key, js.Seconds, state)
-}
-
-// finalLine prints the run's closing count line and fails the command
-// when any job failed.
-func finalLine(jobs, cached, executed, failed int, wall time.Duration) error {
-	fmt.Fprintf(os.Stderr, "spsweep: %d jobs: %d cached, %d executed, %d failed in %.1fs\n",
-		jobs, cached, executed, failed, wall.Seconds())
-	if failed > 0 {
-		return fmt.Errorf("%d job(s) failed", failed)
-	}
-	return nil
+	fmt.Fprintf(os.Stderr, "spsweep: [%d/%d] %-40s %6.1fs  %s\n", p.done, p.total, jr.Job.Key(), jr.Wall.Seconds(), state)
 }
 
 func cmdStatus(args []string) error {
 	fs := flag.NewFlagSet("spsweep status", flag.ExitOnError)
 	dir := fs.String("dir", "results/sweep", "artifact store directory")
-	server := fs.String("server", "", "query this spsweepd base URL instead of a local store")
-	token := serverTokenFlag(fs)
-	sweepID := fs.String("sweep", "", "with -server: show one sweep's jobs")
-	verbose := fs.Bool("v", false, "list pending job keys (with -server: done jobs too)")
+	verbose := fs.Bool("v", false, "list pending job keys")
 	fs.Parse(args)
-
-	if *server != "" {
-		return serverStatus(*server, *token, *sweepID, *verbose)
-	}
 
 	store, err := sweep.Open(*dir)
 	if err != nil {
@@ -387,16 +359,6 @@ func cmdStatus(args []string) error {
 		return fmt.Errorf("%d job(s) terminally failed", len(failed))
 	}
 	return nil
-}
-
-// newFlagSet builds a flag set with the conventional error mode.
-func newFlagSet(name string) *flag.FlagSet {
-	return flag.NewFlagSet(name, flag.ExitOnError)
-}
-
-// signalContext is the conventional SIGINT/SIGTERM run context.
-func signalContext() (context.Context, context.CancelFunc) {
-	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
 func cmdList(args []string) error {

@@ -3,10 +3,13 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -80,5 +83,64 @@ func TestInterruptedRunLeavesNoOutput(t *testing.T) {
 	}
 	if m := regexp.MustCompile(`jobs: +\d/6 complete, ([1-9]) pending`).FindSubmatch(out); m == nil {
 		t.Fatalf("status does not show the cut cells pending:\n%s", out)
+	}
+}
+
+// TestBadFormatRefusedBeforeStore: an unknown -format is refused before
+// anything runs — non-zero exit, no stdout and no store directory — for
+// run and resume alike.
+func TestBadFormatRefusedBeforeStore(t *testing.T) {
+	for _, sub := range []string{"run", "resume"} {
+		store := filepath.Join(t.TempDir(), "store")
+		args := []string{sub, "-dir", store, "-summary", "", "-format", "bogus"}
+		if sub == "run" {
+			args = append(args, "-bench", "x264", "-kinds", "dir", "-scales", "0.05")
+		}
+		cmd := spsweep(args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err == nil {
+			t.Fatalf("%s -format bogus exited 0; stderr:\n%s", sub, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Fatalf("%s -format bogus printed:\n%s", sub, stdout.String())
+		}
+		if _, err := os.Stat(store); !os.IsNotExist(err) {
+			t.Fatalf("%s -format bogus created the store (stat: %v); stderr:\n%s", sub, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), `unknown format "bogus"`) {
+			t.Fatalf("%s -format bogus: no diagnosis; stderr:\n%s", sub, stderr.String())
+		}
+	}
+}
+
+// TestWorkerCountRecorded: -jobs <= 0 runs runtime.NumCPU() workers, and
+// the header line and the summary record that count, not the flag value.
+func TestWorkerCountRecorded(t *testing.T) {
+	want := runtime.NumCPU()
+	for _, jobs := range []string{"0", "-3"} {
+		dir := t.TempDir()
+		summary := filepath.Join(dir, "summary.json")
+		cmd := spsweep("run", "-bench", "x264", "-kinds", "dir", "-scales", "0.05", "-jobs", jobs,
+			"-dir", filepath.Join(dir, "store"), "-summary", summary)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("-jobs %s: %v; stderr:\n%s", jobs, err, stderr.String())
+		}
+		if header := fmt.Sprintf(" on %d workers\n", want); !strings.Contains(stderr.String(), header) {
+			t.Fatalf("-jobs %s: header does not say %q; stderr:\n%s", jobs, header, stderr.String())
+		}
+		b, err := os.ReadFile(summary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s struct{ Workers int }
+		if err := json.Unmarshal(b, &s); err != nil {
+			t.Fatal(err)
+		}
+		if s.Workers != want {
+			t.Fatalf("-jobs %s: summary records %d workers, want %d", jobs, s.Workers, want)
+		}
 	}
 }

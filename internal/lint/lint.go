@@ -253,21 +253,17 @@ func (m *ModulePass) Loaded() []*Package {
 // packages for a module: everything under internal/ is DES-driven code
 // that must replay bit-identically, except
 //
-//   - internal/lint — the analyzer itself,
-//   - internal/sweep — the host-side sweep matrix, artifact store and
-//     reports, *above* the DES: its store is shared by concurrent
-//     workers. Every job is still a single-threaded simulation, and its
-//     merge order stays deterministic via the always-on
-//     maprange/floatorder checks plus the package's determinism tests, and
-//   - internal/sweepd — the sweep job server, the same orchestration tier
-//     one level up: leases, wall-clock TTLs and HTTP are its job. Its
-//     merged reports stay byte-deterministic for the same reason
-//     internal/sweep's do (content-addressed results, key-ordered merge),
-//     enforced by its determinism tests rather than by SimOnly checks.
+//   - internal/lint — the analyzer itself, and
+//   - internal/sweep — the host-side sweep runner, artifact store and
+//     reports, *above* the DES: its worker goroutines share the store
+//     and its attempts run under wall-clock timeouts. Every job is still
+//     a single-threaded simulation, and its merge order stays
+//     deterministic via the always-on maprange/floatorder checks plus
+//     the package's determinism tests.
 //
 // Exemptions match whole path segments (the package itself or anything
 // under it) — "/internal/sweep" must not accidentally cover a sibling
-// like "/internal/sweepd"; that package earns its own entry.
+// like "/internal/sweepx".
 //
 // CLIs and examples may read the host clock for progress reporting, but
 // still get maprange/floatorder scrutiny.
@@ -276,7 +272,7 @@ func DefaultIsSim(modPath string) func(importPath string) bool {
 		if !strings.HasPrefix(path, modPath+"/internal/") {
 			return false
 		}
-		for _, exempt := range []string{"/internal/lint", "/internal/sweep", "/internal/sweepd"} {
+		for _, exempt := range []string{"/internal/lint", "/internal/sweep"} {
 			root := modPath + exempt
 			if path == root || strings.HasPrefix(path, root+"/") {
 				return false

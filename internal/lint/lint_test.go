@@ -191,12 +191,11 @@ func TestDefaultIsSim(t *testing.T) {
 		"spcoh/internal/runcfg":      true,
 		"spcoh/internal/lint":        false,
 		"spcoh/internal/sweep":       false,
-		"spcoh/internal/sweepd":      false,
 		// An exemption must cover exactly its own subtree: a sibling that
 		// merely shares the prefix stays sim.
-		"spcoh/internal/sweepdx": true,
-		"spcoh/cmd/spsweep":      false,
-		"spcoh":                  false,
+		"spcoh/internal/sweepx": true,
+		"spcoh/cmd/spsweep":     false,
+		"spcoh":                 false,
 	} {
 		if got := isSim(path); got != want {
 			t.Errorf("DefaultIsSim(%q) = %v, want %v", path, got, want)

@@ -1,14 +1,14 @@
 package sweep_test
 
-// End-to-end behaviour of a local sweep: every test here drives
-// sweepd.RunLocal, the in-process run behind `spsweep run`, which
-// schedules the jobs of this package through sweepd's lease queue.
-// internal/sweepd's own tests cover the lease protocol and the HTTP layer.
+// End-to-end behaviour of a sweep: every test here drives sweep.Run, the
+// attempt loop behind `spsweep run` and `resume`.
 
 import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +18,6 @@ import (
 	"spcoh/internal/scenario"
 	"spcoh/internal/sim"
 	"spcoh/internal/sweep"
-	"spcoh/internal/sweepd"
 )
 
 // fakeResult builds a deterministic synthetic result from a job spec.
@@ -59,17 +58,13 @@ func openStore(t *testing.T, dir string) *sweep.Store {
 	return store
 }
 
-// runLocal runs m to completion, on a fresh store unless opt names one,
-// with a 1ms idle poll so backoff gates release promptly.
-func runLocal(t *testing.T, m sweep.Matrix, opt sweepd.Options) *sweep.Report {
+// runLocal runs m to completion, on a fresh store unless opt names one.
+func runLocal(t *testing.T, m sweep.Matrix, opt sweep.Options) *sweep.Report {
 	t.Helper()
 	if opt.Store == nil {
 		opt.Store = openStore(t, t.TempDir())
 	}
-	if opt.Poll == 0 {
-		opt.Poll = time.Millisecond
-	}
-	rep, err := sweepd.RunLocal(context.Background(), m, opt, nil)
+	rep, err := sweep.Run(context.Background(), m, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +85,7 @@ func renderJSON(t *testing.T, rep *sweep.Report) string {
 func TestMergeDeterminism(t *testing.T) {
 	m := testMatrix()
 	render := func(workers int) (string, string, string) {
-		rep := runLocal(t, m, sweepd.Options{LocalWorkers: workers, Exec: fakeExec})
+		rep := runLocal(t, m, sweep.Options{Workers: workers, Exec: fakeExec})
 		var tab, csv bytes.Buffer
 		rep.FormatTable(&tab)
 		if err := rep.FormatCSV(&csv); err != nil {
@@ -128,7 +123,7 @@ func TestReportOrderUnderAdversarialScheduling(t *testing.T) {
 		time.Sleep(delay) // earlier-launched (lower-key) jobs finish later
 		return fakeResult(j), nil
 	}
-	rep := runLocal(t, m, sweepd.Options{LocalWorkers: len(jobs), Exec: slow})
+	rep := runLocal(t, m, sweep.Options{Workers: len(jobs), Exec: slow})
 	for i, jr := range rep.Jobs {
 		if jr.Job.Key() != jobs[i].Key() {
 			t.Fatalf("report slot %d = %s, want %s (completion order leaked)", i, jr.Job.Key(), jobs[i].Key())
@@ -146,7 +141,7 @@ func TestPanicRecovery(t *testing.T) {
 		}
 		return fakeResult(j), nil
 	}
-	rep := runLocal(t, m, sweepd.Options{LocalWorkers: 4, Exec: exec})
+	rep := runLocal(t, m, sweep.Options{Workers: 4, Exec: exec})
 	if rep.Failed != 1 || rep.Executed != len(jobs)-1 {
 		t.Fatalf("failed=%d executed=%d, want 1/%d", rep.Failed, rep.Executed, len(jobs)-1)
 	}
@@ -167,7 +162,7 @@ func TestTimeoutAndRetry(t *testing.T) {
 		return nil, nil
 	}
 	start := time.Now()
-	rep := runLocal(t, oneCell("hang"), sweepd.Options{LocalWorkers: 1, Timeout: 30 * time.Millisecond, Retries: 1, Exec: hang})
+	rep := runLocal(t, oneCell("hang"), sweep.Options{Workers: 1, Timeout: 30 * time.Millisecond, Retries: 1, Exec: hang})
 	if rep.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", rep.Failed)
 	}
@@ -198,7 +193,7 @@ func TestRetryEventuallySucceeds(t *testing.T) {
 		}
 		return fakeResult(j), nil
 	}
-	rep := runLocal(t, m, sweepd.Options{LocalWorkers: 2, Retries: 2, Exec: flaky})
+	rep := runLocal(t, m, sweep.Options{Workers: 2, Retries: 2, Exec: flaky})
 	if rep.Failed != 0 || rep.Executed != 3 {
 		t.Fatalf("failed=%d executed=%d, want 0/3", rep.Failed, rep.Executed)
 	}
@@ -218,7 +213,7 @@ func TestRetriesAreBounded(t *testing.T) {
 		mu.Unlock()
 		return nil, errors.New("permanent")
 	}
-	rep := runLocal(t, oneCell("alpha"), sweepd.Options{LocalWorkers: 1, Retries: 3, Exec: alwaysFail})
+	rep := runLocal(t, oneCell("alpha"), sweep.Options{Workers: 1, Retries: 3, Exec: alwaysFail})
 	if calls != 4 {
 		t.Fatalf("executor called %d times, want 4 (1 + 3 retries)", calls)
 	}
@@ -246,7 +241,7 @@ func TestContextCancelMarksPendingJobs(t *testing.T) {
 		mu.Unlock()
 		return fakeResult(j), nil
 	}
-	rep, err := sweepd.RunLocal(ctx, m, sweepd.Options{Store: store, LocalWorkers: 1, Exec: exec}, nil)
+	rep, err := sweep.Run(ctx, m, sweep.Options{Store: store, Workers: 1, Exec: exec}, nil)
 	if !errors.Is(err, context.Canceled) || rep != nil {
 		t.Fatalf("cancelled run: rep=%v err=%v, want no report and context.Canceled", rep, err)
 	}
@@ -262,9 +257,9 @@ func TestContextCancelMarksPendingJobs(t *testing.T) {
 func TestProgressSeesEveryJob(t *testing.T) {
 	m := testMatrix()
 	seen := make(map[string]int)
-	progress := func(js sweepd.JobStatus) { seen[js.Key]++ } // serialized by RunLocal
-	rep, err := sweepd.RunLocal(context.Background(), m, sweepd.Options{
-		Store: openStore(t, t.TempDir()), LocalWorkers: 4, Exec: fakeExec,
+	progress := func(jr sweep.JobResult) { seen[jr.Job.Key()]++ } // serialized by Run
+	rep, err := sweep.Run(context.Background(), m, sweep.Options{
+		Store: openStore(t, t.TempDir()), Workers: 4, Exec: fakeExec,
 	}, progress)
 	if err != nil {
 		t.Fatal(err)
@@ -284,11 +279,11 @@ func TestProgressSeesEveryJob(t *testing.T) {
 
 // TestSummaryCounts: the side-band summary carries scheduling detail the
 // merged output omits, including a non-zero wall time for every executed
-// cell (read from the queue's attempt records).
+// cell (the last attempt's wall time).
 func TestSummaryCounts(t *testing.T) {
 	m := testMatrix()
 	jobs := m.Jobs()
-	rep := runLocal(t, m, sweepd.Options{LocalWorkers: 2, Exec: fakeExec})
+	rep := runLocal(t, m, sweep.Options{Workers: 2, Exec: fakeExec})
 	s := rep.Summarize(m, 2)
 	if s.Jobs != len(jobs) || s.Executed != len(jobs) || s.Cached != 0 || s.Failed != 0 {
 		t.Fatalf("summary counts wrong: %+v", s)
@@ -312,7 +307,7 @@ func TestSummaryCounts(t *testing.T) {
 func TestFormatJSONOmitsSchedulingState(t *testing.T) {
 	m := testMatrix()
 	m.Benches, m.Seeds = []string{"alpha"}, []int64{42} // two cells
-	out := renderJSON(t, runLocal(t, m, sweepd.Options{LocalWorkers: 2, Exec: fakeExec}))
+	out := renderJSON(t, runLocal(t, m, sweep.Options{Workers: 2, Exec: fakeExec}))
 	for _, banned := range []string{"wall", "seconds", "attempts", "cached"} {
 		if strings.Contains(strings.ToLower(out), banned) {
 			t.Fatalf("merged JSON leaks scheduling state %q:\n%s", banned, out)
@@ -321,10 +316,10 @@ func TestFormatJSONOmitsSchedulingState(t *testing.T) {
 }
 
 func TestEngineDefaultsWorkers(t *testing.T) {
-	// LocalWorkers <= 0 must still complete (defaults to NumCPU).
+	// Workers <= 0 must still complete (defaults to NumCPU).
 	m := testMatrix()
 	m.Benches, m.Seeds = []string{"alpha"}, []int64{42}
-	rep := runLocal(t, m, sweepd.Options{Exec: fakeExec})
+	rep := runLocal(t, m, sweep.Options{Exec: fakeExec})
 	if rep.Executed != 2 {
 		t.Fatalf("executed = %d, want 2", rep.Executed)
 	}
@@ -336,8 +331,8 @@ func TestRetryDelayPureAndBounded(t *testing.T) {
 	// Pure: the same inputs always produce the same delay.
 	for _, key := range []string{"ocean/sp/t16/x0.25/s42", "fmm/dir/t16/x1/s7"} {
 		for attempt := 2; attempt <= 6; attempt++ {
-			a := sweepd.RetryDelay(key, attempt, base, 99)
-			b := sweepd.RetryDelay(key, attempt, base, 99)
+			a := sweep.RetryDelay(key, attempt, base, 99)
+			b := sweep.RetryDelay(key, attempt, base, 99)
 			if a != b {
 				t.Fatalf("RetryDelay(%q, %d) not deterministic: %v vs %v", key, attempt, a, b)
 			}
@@ -351,32 +346,32 @@ func TestRetryDelayPureAndBounded(t *testing.T) {
 	}
 
 	// The first attempt and a zero base never wait.
-	if d := sweepd.RetryDelay("k", 1, base, 0); d != 0 {
+	if d := sweep.RetryDelay("k", 1, base, 0); d != 0 {
 		t.Fatalf("attempt 1 delayed %v", d)
 	}
-	if d := sweepd.RetryDelay("k", 3, 0, 0); d != 0 {
+	if d := sweep.RetryDelay("k", 3, 0, 0); d != 0 {
 		t.Fatalf("zero base delayed %v", d)
 	}
 
 	// Different seeds and different keys decorrelate the jitter (with the
 	// same exponent the raw delay would otherwise collide).
-	if sweepd.RetryDelay("k", 2, base, 1) == sweepd.RetryDelay("k", 2, base, 2) &&
-		sweepd.RetryDelay("k", 3, base, 1) == sweepd.RetryDelay("k", 3, base, 2) {
+	if sweep.RetryDelay("k", 2, base, 1) == sweep.RetryDelay("k", 2, base, 2) &&
+		sweep.RetryDelay("k", 3, base, 1) == sweep.RetryDelay("k", 3, base, 2) {
 		t.Fatal("seed does not influence the jitter")
 	}
-	if sweepd.RetryDelay("a", 2, base, 0) == sweepd.RetryDelay("b", 2, base, 0) &&
-		sweepd.RetryDelay("a", 3, base, 0) == sweepd.RetryDelay("b", 3, base, 0) {
+	if sweep.RetryDelay("a", 2, base, 0) == sweep.RetryDelay("b", 2, base, 0) &&
+		sweep.RetryDelay("a", 3, base, 0) == sweep.RetryDelay("b", 3, base, 0) {
 		t.Fatal("key does not influence the jitter")
 	}
 
 	// The exponent caps: absurd attempt numbers must not overflow.
-	if d := sweepd.RetryDelay("k", 1000, time.Millisecond, 0); d <= 0 || d > time.Duration(1)<<40 {
+	if d := sweep.RetryDelay("k", 1000, time.Millisecond, 0); d <= 0 || d > time.Duration(1)<<40 {
 		t.Fatalf("capped delay out of range: %v", d)
 	}
 }
 
-// TestExecutorAppliesBackoffBetweenAttempts: a failed attempt's requeue
-// holds the job back for RetryDelay before the next attempt.
+// TestExecutorAppliesBackoffBetweenAttempts: a failed attempt holds the
+// cell back for RetryDelay before the next attempt.
 func TestExecutorAppliesBackoffBetweenAttempts(t *testing.T) {
 	m := oneCell("alpha")
 	key := m.Jobs()[0].Key()
@@ -389,13 +384,13 @@ func TestExecutorAppliesBackoffBetweenAttempts(t *testing.T) {
 		return fakeResult(j), nil
 	}
 	start := time.Now()
-	rep := runLocal(t, m, sweepd.Options{LocalWorkers: 1, Retries: 2,
+	rep := runLocal(t, m, sweep.Options{Workers: 1, Retries: 2,
 		Backoff: 5 * time.Millisecond, BackoffSeed: 7, Exec: exec})
 	if jr := rep.Jobs[0]; jr.Err != nil || jr.Attempts != 3 {
 		t.Fatalf("run: err=%v attempts=%d", jr.Err, jr.Attempts)
 	}
 	// Attempts 2 and 3 each waited RetryDelay(key, k, 5ms, 7).
-	want := sweepd.RetryDelay(key, 2, 5*time.Millisecond, 7) + sweepd.RetryDelay(key, 3, 5*time.Millisecond, 7)
+	want := sweep.RetryDelay(key, 2, 5*time.Millisecond, 7) + sweep.RetryDelay(key, 3, 5*time.Millisecond, 7)
 	if elapsed := time.Since(start); elapsed < want {
 		t.Fatalf("run waited %v, schedule demands at least %v", elapsed, want)
 	}
@@ -407,7 +402,7 @@ func TestBackoffSleepIsInterruptible(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := sweepd.RunLocal(ctx, oneCell("alpha"), sweepd.Options{Store: store, LocalWorkers: 1,
+		_, err := sweep.Run(ctx, oneCell("alpha"), sweep.Options{Store: store, Workers: 1,
 			Retries: 5, Backoff: time.Hour, Exec: always}, nil) // would wait forever without cancellation
 		done <- err
 	}()
@@ -435,7 +430,7 @@ func TestFailureLedgerRecordsAndClears(t *testing.T) {
 		}
 		return fakeResult(j), nil
 	}
-	rep := runLocal(t, m, sweepd.Options{Store: openStore(t, dir), LocalWorkers: 2, Retries: 1, Exec: exec})
+	rep := runLocal(t, m, sweep.Options{Store: openStore(t, dir), Workers: 2, Retries: 1, Exec: exec})
 	if rep.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", rep.Failed)
 	}
@@ -447,7 +442,7 @@ func TestFailureLedgerRecordsAndClears(t *testing.T) {
 	}
 
 	// A successful rerun clears the entry.
-	rep = runLocal(t, m, sweepd.Options{Store: store2, LocalWorkers: 2, Exec: fakeExec})
+	rep = runLocal(t, m, sweep.Options{Store: store2, Workers: 2, Exec: fakeExec})
 	if rep.Failed != 0 {
 		t.Fatalf("healthy rerun failed %d jobs", rep.Failed)
 	}
@@ -473,7 +468,7 @@ func TestCancellationNeverReachesLedger(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := sweepd.RunLocal(ctx, testMatrix(), sweepd.Options{Store: store, LocalWorkers: slots, Exec: blocking}, nil)
+		_, err := sweep.Run(ctx, testMatrix(), sweep.Options{Store: store, Workers: slots, Exec: blocking}, nil)
 		done <- err
 	}()
 	for i := 0; i < slots; i++ {
@@ -516,7 +511,7 @@ func TestResumeRecomputesNothing(t *testing.T) {
 	if err := store1.SetMatrix(m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sweepd.RunLocal(ctx, m, sweepd.Options{Store: store1, LocalWorkers: 1, Exec: interrupting}, nil); err == nil {
+	if _, err := sweep.Run(ctx, m, sweep.Options{Store: store1, Workers: 1, Exec: interrupting}, nil); err == nil {
 		t.Fatal("interrupted run reported success")
 	}
 	// The checkpointed set is what resume must never recompute. (A job in
@@ -538,7 +533,7 @@ func TestResumeRecomputesNothing(t *testing.T) {
 		}
 		return fakeResult(j), nil
 	}
-	rep2 := runLocal(t, m, sweepd.Options{Store: openStore(t, dir), LocalWorkers: 2, Exec: resume})
+	rep2 := runLocal(t, m, sweep.Options{Store: openStore(t, dir), Workers: 2, Exec: resume})
 	if rep2.Failed != 0 {
 		t.Fatalf("resume failed %d jobs", rep2.Failed)
 	}
@@ -554,7 +549,7 @@ func TestResumeRecomputesNothing(t *testing.T) {
 		t.Errorf("job %s executed on fully-complete resume", j.Key())
 		return fakeResult(j), nil
 	}
-	rep3 := runLocal(t, m, sweepd.Options{Store: openStore(t, dir), LocalWorkers: 4, Exec: never})
+	rep3 := runLocal(t, m, sweep.Options{Store: openStore(t, dir), Workers: 4, Exec: never})
 	if rep3.Executed != 0 || rep3.Cached != len(jobs) || rep3.Failed != 0 {
 		t.Fatalf("full resume: executed=%d cached=%d failed=%d, want 0/%d/0",
 			rep3.Executed, rep3.Cached, rep3.Failed, len(jobs))
@@ -562,7 +557,7 @@ func TestResumeRecomputesNothing(t *testing.T) {
 
 	// The merged output of the resumed run equals a from-scratch run: cache
 	// recall is invisible in the report's renderings.
-	fresh := renderJSON(t, runLocal(t, m, sweepd.Options{LocalWorkers: 1, Exec: fakeExec}))
+	fresh := renderJSON(t, runLocal(t, m, sweep.Options{Workers: 1, Exec: fakeExec}))
 	if fresh != renderJSON(t, rep3) {
 		t.Fatal("resumed merged output differs from a from-scratch run")
 	}
@@ -584,7 +579,7 @@ func TestRealSimParallelDeterminism(t *testing.T) {
 	}
 	jobs := m.Jobs()
 	render := func(workers int, store *sweep.Store) (string, *sweep.Report) {
-		rep := runLocal(t, m, sweepd.Options{Store: store, LocalWorkers: workers}) // DefaultExec
+		rep := runLocal(t, m, sweep.Options{Store: store, Workers: workers}) // DefaultExec
 		if rep.Failed != 0 {
 			for _, jr := range rep.Jobs {
 				if jr.Err != nil {
@@ -614,5 +609,160 @@ func TestRealSimParallelDeterminism(t *testing.T) {
 	}
 	if first != serial || second != serial {
 		t.Fatal("store-backed output differs from direct output")
+	}
+}
+
+// TestZeroBackoffMeansNoGate: Backoff 0 retries a failed cell at once
+// (the `-backoff` default), with no hidden floor on the wait.
+func TestZeroBackoffMeansNoGate(t *testing.T) {
+	attempts := 0
+	exec := func(j sweep.Job, _ *scenario.Spec) (*sim.Result, error) {
+		attempts++
+		if attempts == 1 {
+			return nil, errors.New("transient")
+		}
+		return fakeResult(j), nil
+	}
+	start := time.Now()
+	rep := runLocal(t, oneCell("alpha"), sweep.Options{Workers: 1, Retries: 1, Backoff: 0, Exec: exec})
+	if jr := rep.Jobs[0]; jr.Err != nil || jr.Attempts != 2 {
+		t.Fatalf("run: err=%v attempts=%d, want a success on attempt 2", jr.Err, jr.Attempts)
+	}
+	if elapsed := time.Since(start); elapsed >= 500*time.Millisecond {
+		t.Fatalf("zero backoff waited: the run took %v", elapsed)
+	}
+}
+
+// specCell is a one-cell matrix over a copy of the ocean profile spec at
+// path, identified by the digest of the file as it is now.
+func specCell(t *testing.T, path string) (sweep.Matrix, *scenario.Spec) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "workload", "specs", "03-ocean.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := scenario.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sweep.Matrix{
+		Specs:   []sweep.SpecRef{{Name: spec.Name, Path: path, Digest: spec.Digest()}},
+		Kinds:   []string{"sp"},
+		Seeds:   []int64{42},
+		Scales:  []float64{0.05},
+		Threads: 16,
+	}
+	return m, spec
+}
+
+// TestSpecCellRunsLikeDefaultExec: a scenario-spec cell runs through Run
+// and its merged JSON equals DefaultExec's result on the same spec.
+func TestSpecCellRunsLikeDefaultExec(t *testing.T) {
+	m, spec := specCell(t, filepath.Join(t.TempDir(), "ocean.json"))
+	rep := runLocal(t, m, sweep.Options{Workers: 1}) // DefaultExec
+	if rep.Failed != 0 || rep.Executed != 1 {
+		t.Fatalf("spec sweep: failed=%d executed=%d, want 0/1 (%v)", rep.Failed, rep.Executed, rep.Jobs[0].Err)
+	}
+	j := m.Jobs()[0]
+	res, err := sweep.DefaultExec(j, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := &sweep.Report{Jobs: []sweep.JobResult{{Job: j, Result: res}}}
+	if got, want := renderJSON(t, rep), renderJSON(t, direct); got != want {
+		t.Fatalf("spec cell through Run differs from DefaultExec:\n%s\n---\n%s", got, want)
+	}
+}
+
+// TestEditedSpecFailsTheCell: a spec file edited after the matrix was
+// assembled no longer hashes to the cell's digest, so the cell fails
+// without running the edited spec.
+func TestEditedSpecFailsTheCell(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ocean.json")
+	m, _ := specCell(t, path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.Replace(raw, []byte(`"iters": 26`), []byte(`"iters": 25`), 1)
+	if bytes.Equal(edited, raw) {
+		t.Fatal("spec edit did not apply")
+	}
+	if err := os.WriteFile(path, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	exec := func(j sweep.Job, _ *scenario.Spec) (*sim.Result, error) {
+		ran = true
+		return fakeResult(j), nil
+	}
+	rep := runLocal(t, m, sweep.Options{Workers: 1, Exec: exec})
+	if ran {
+		t.Fatal("the edited spec was executed")
+	}
+	if err := rep.Jobs[0].Err; rep.Failed != 1 || err == nil ||
+		!strings.Contains(err.Error(), "spec changed since the sweep was assembled") {
+		t.Fatalf("edited spec: failed=%d err=%v", rep.Failed, err)
+	}
+}
+
+// TestMissingSpecNamesTheFile: a spec file gone since the matrix was
+// assembled fails its cell with an error naming the file.
+func TestMissingSpecNamesTheFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ocean.json")
+	m, _ := specCell(t, path)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	rep := runLocal(t, m, sweep.Options{Workers: 1, Exec: fakeExec})
+	if err := rep.Jobs[0].Err; rep.Failed != 1 || err == nil ||
+		!strings.Contains(err.Error(), "spec unavailable: ") || !strings.Contains(err.Error(), path) {
+		t.Fatalf("missing spec: failed=%d err=%v, want \"spec unavailable\" naming %s", rep.Failed, err, path)
+	}
+}
+
+// TestRunMatchesReportGolden: Run's merged output in every format equals
+// the pinned report golden (testdata/report_golden.*), failed cell
+// included, for more than one worker count.
+func TestRunMatchesReportGolden(t *testing.T) {
+	m := sweep.Matrix{
+		Benches: []string{"x264", "streamcluster"},
+		Kinds:   []string{"dir", "sp"},
+		Seeds:   []int64{42, 7},
+		Scales:  []float64{0.25},
+		Threads: 16,
+	}
+	exec := func(j sweep.Job, _ *scenario.Spec) (*sim.Result, error) {
+		if j.Key() == "x264/sp/t16/x0.25/s7" {
+			return nil, errors.New("injected failure")
+		}
+		return fakeResult(j), nil
+	}
+	for _, workers := range []int{1, 3} {
+		rep := runLocal(t, m, sweep.Options{Workers: workers, Exec: exec})
+		var table, csv bytes.Buffer
+		rep.FormatTable(&table)
+		if err := rep.FormatCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			file string
+			got  []byte
+		}{
+			{"report_golden.txt", table.Bytes()},
+			{"report_golden.csv", csv.Bytes()},
+			{"report_golden.json", []byte(renderJSON(t, rep))},
+		} {
+			want, err := os.ReadFile(filepath.Join("testdata", c.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(c.got, want) {
+				t.Fatalf("workers=%d: %s differs from the golden\n got:\n%s\nwant:\n%s", workers, c.file, c.got, want)
+			}
+		}
 	}
 }

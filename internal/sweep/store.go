@@ -22,9 +22,8 @@ const manifestVersion = 1
 
 // Store is the resumable artifact store of a sweep. Layout:
 //
-//	<dir>/<digest>.json        one completed job: {job spec, result}
-//	<dir>/manifest.json        index: job key → {digest, checksum, seed}
-//	<dir>/specs/<digest>.json  scenario specs uploaded to a sweep server
+//	<dir>/<digest>.json  one completed job: {job spec, result}
+//	<dir>/manifest.json  index: job key → {digest, checksum, seed}
 //
 // Artifacts are addressed by Job.Digest (the hash of the job's canonical
 // spec), so a resumed or re-issued sweep finds a finished cell without
@@ -48,12 +47,6 @@ type Manifest struct {
 	MatrixDigest string                   `json:"matrix_digest,omitempty"`
 	Matrix       *Matrix                  `json:"matrix,omitempty"`
 	Jobs         map[string]ManifestEntry `json:"jobs"`
-
-	// Sweeps registers every matrix submitted to a sweepd server sharing
-	// this store, keyed by matrix digest. A restarted server re-adopts
-	// them and resumes with zero recomputation. Additive: local
-	// spsweep run/resume keep using the singular Matrix field.
-	Sweeps map[string]*Matrix `json:"sweeps,omitempty"`
 
 	// Failed is the failure ledger: job key → last error message for
 	// cells whose final attempt cycle failed. A later successful Put
@@ -206,58 +199,6 @@ func (s *Store) FailedCells() map[string]string {
 		out[k] = s.man.Failed[k]
 	}
 	return out
-}
-
-// AddSweep registers a sweepd-submitted matrix under its digest so a
-// restarted server can re-adopt it. Registering the same matrix twice is
-// a no-op.
-func (s *Store) AddSweep(m Matrix) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.man.Sweeps == nil {
-		s.man.Sweeps = make(map[string]*Matrix)
-	}
-	mm := m
-	s.man.Sweeps[m.Digest()] = &mm
-	return s.saveLocked()
-}
-
-// SweepIDs returns the registered sweep digests, sorted.
-func (s *Store) SweepIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return detutil.SortedKeys(s.man.Sweeps)
-}
-
-// Sweep returns the matrix registered under id. It errors when the matrix
-// no longer has digest id (see checkMatrixDigest).
-func (s *Store) Sweep(id string) (Matrix, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.man.Sweeps[id]
-	if !ok {
-		return Matrix{}, false, nil
-	}
-	return *m, true, checkMatrixDigest(*m, id)
-}
-
-// SpecPath is where PutSpec stores the scenario spec with the given
-// content digest.
-func (s *Store) SpecPath(digest string) string {
-	return filepath.Join(s.dir, "specs", digest+".json")
-}
-
-// PutSpec stores a scenario spec's file bytes under their content digest
-// (the caller has verified the digest) and returns the path.
-func (s *Store) PutSpec(digest string, content []byte) (string, error) {
-	path := s.SpecPath(digest)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return "", fmt.Errorf("sweep: spec dir: %w", err)
-	}
-	if err := atomicWrite(path, content); err != nil {
-		return "", fmt.Errorf("sweep: store spec %.12s: %w", digest, err)
-	}
-	return path, nil
 }
 
 // Completed returns the keys of all checkpointed jobs, sorted.

@@ -181,8 +181,8 @@ func TestStoreConcurrentPut(t *testing.T) {
 
 // staleFastManifest is a manifest written by a version that still had the
 // fast simulation mode: its matrix carries "mode":"fast" and is recorded
-// (as the local matrix and as a registered sweep) under the digest that
-// version computed for it.
+// under the digest that version computed for it. Its "sweeps" key is the
+// registry of the since-deleted sweep server, which Open ignores.
 const (
 	staleFastDigest   = "2bcdc7afb60731a6b8c090fe8266e2defb09512867f75483f1aede6c1df0fd7d"
 	staleDecodeDigest = "b2977171443b41f7a024e158170323652ba254ed20e99afffed0701e9663dcee"
@@ -225,65 +225,4 @@ func TestStoreRefusesStaleMatrix(t *testing.T) {
 		t.Fatal("Matrix: recorded matrix not found")
 	}
 	names("Matrix", err)
-	if ids := store.SweepIDs(); len(ids) != 1 || ids[0] != staleFastDigest {
-		t.Fatalf("SweepIDs = %v", ids)
-	}
-	_, ok, err = store.Sweep(staleFastDigest)
-	if !ok {
-		t.Fatal("Sweep: registered sweep not found")
-	}
-	names("Sweep", err)
-}
-
-func TestSweepRegistryPersists(t *testing.T) {
-	dir := t.TempDir()
-	store, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := testMatrix()
-	b := testMatrix()
-	b.Seeds = []int64{7}
-	if err := store.AddSweep(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.AddSweep(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.AddSweep(a); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	ids := store.SweepIDs()
-	if len(ids) != 2 {
-		t.Fatalf("sweep IDs: %v", ids)
-	}
-
-	// A fresh open (a restarted server) sees both, content intact.
-	store2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []Matrix{a, b} {
-		got, ok, err := store2.Sweep(m.Digest())
-		if err != nil || !ok {
-			t.Fatalf("sweep %.12s lost on reopen", m.Digest())
-		}
-		if got.Digest() != m.Digest() {
-			t.Fatalf("sweep %.12s mutated on reopen", m.Digest())
-		}
-	}
-	// The registry coexists with the singular local-run matrix field.
-	if err := store2.SetMatrix(a); err != nil {
-		t.Fatal(err)
-	}
-	store3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m, ok, err := store3.Matrix(); err != nil || !ok || m.Digest() != a.Digest() {
-		t.Fatal("local matrix field clobbered by the sweep registry")
-	}
-	if len(store3.SweepIDs()) != 2 {
-		t.Fatal("sweep registry clobbered by SetMatrix")
-	}
 }

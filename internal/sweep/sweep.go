@@ -1,9 +1,8 @@
-// Package sweep defines the paper's evaluation matrix as data: it expands
-// a job matrix (benchmark × configuration × seed × scale) into
-// independent, content-addressed simulation jobs, checkpoints their
-// results in a resumable artifact store, and renders merged reports.
-// Scheduling those jobs — locally or across hosts — is internal/sweepd's
-// lease queue; this package holds what every schedule shares.
+// Package sweep runs the paper's evaluation matrix: it expands a job
+// matrix (benchmark × configuration × seed × scale) into independent,
+// content-addressed simulation jobs, runs them on a pool of workers with
+// a retry budget (Run), checkpoints their results in a resumable artifact
+// store, and renders merged reports.
 //
 // The package sits *above* the discrete-event simulator: every job is one
 // complete, single-threaded, deterministic simulation (see internal/sim),
@@ -131,8 +130,8 @@ type Matrix struct {
 // Validate rejects a matrix no worker could run, before any job is
 // expanded or stored: an empty dimension, an unknown benchmark or kind
 // (experiments.Kinds), or a cell sizing runcfg.RunConfig.Validate refuses
-// — a non-positive scale or a thread count no machine is sized for. The
-// local CLI and the sweep server both gate on it.
+// — a non-positive scale or a thread count no machine is sized for.
+// spsweep gates on it before it opens a store.
 func (m Matrix) Validate() error {
 	if len(m.Benches) == 0 && len(m.Specs) == 0 {
 		return errors.New("empty matrix: no benchmarks and no specs")

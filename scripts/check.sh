@@ -25,12 +25,6 @@
 #                 progress line: non-zero exit, empty stdout, status exits
 #                 0 (cut cells pending, not failed), and resume's output is
 #                 byte-identical to an uninterrupted run of the same matrix
-#   spsweepd smoke the sweep job server end to end: daemon on an ephemeral
-#                 port with bearer-token auth enabled, the same tiny matrix
-#                 submitted over HTTP and executed by two concurrent remote
-#                 `spsweep work` processes, merged results byte-compared
-#                 against a local `spsweep run -jobs 1` of the same matrix;
-#                 a tokenless request must bounce with 401
 #   spscen smoke  scenario layer end to end: the embedded profile specs
 #                 validate and build, a 50-seed generator fuzz sweep
 #                 (validity + determinism + buildability), and a generated
@@ -38,6 +32,9 @@
 #                 byte-identically
 #   spsim bad-input smoke  an unknown -pred and an unsupported -threads
 #                 must each exit non-zero and print no result rows
+#   spsweep bad-input smoke  an unknown -format and an unsupported
+#                 -threads must each exit non-zero, print nothing on
+#                 stdout and create no store
 #   spstat smoke  metrics pipeline end to end: a small instrumented run
 #                 twice (series must be byte-identical), spstat -validate
 #                 (epochs monotone/contiguous), JSON decode, and the
@@ -77,8 +74,7 @@ echo "== go build"
 go build ./...
 
 sweepdir=$(mktemp -d)
-daemon=""
-trap '[ -n "$daemon" ] && kill "$daemon" 2>/dev/null; rm -rf "$sweepdir"' EXIT
+trap 'rm -rf "$sweepdir"' EXIT
 
 echo "== spvet (invariant analysis, baseline-gated)"
 go run ./cmd/spvet -baseline .spvet-baseline.json ./...
@@ -98,7 +94,7 @@ go test ./...
 echo "== go test -race"
 go test -race ./internal/event ./internal/lint ./internal/sim \
     ./internal/stats ./internal/trace ./internal/workload
-go test -race -short ./internal/experiments ./internal/sweep ./internal/sweepd
+go test -race -short ./internal/experiments ./internal/sweep
 
 echo "== spsweep smoke (run / resume / status)"
 go build -o "$sweepdir/spsweep" ./cmd/spsweep
@@ -157,81 +153,6 @@ cmp "$sweepdir/resumed.json" "$sweepdir/full.json" || {
     exit 1
 }
 
-echo "== spsweepd smoke (server sweep via two remote workers == local run)"
-# Reference: the same matrix through the local engine, one worker.
-"$sweepdir/spsweep" run -bench x264,streamcluster -kinds dir,sp \
-    -scales 0.05 -jobs 1 -dir "$sweepdir/localstore" \
-    -summary "" -format json \
-    > "$sweepdir/local.json" 2> "$sweepdir/local.log"
-go build -o "$sweepdir/spsweepd" ./cmd/spsweepd
-token="checksh-$$"
-"$sweepdir/spsweepd" -addr 127.0.0.1:0 -addr-file "$sweepdir/addr" \
-    -dir "$sweepdir/serverstore" -workers 0 -lease-ttl 30s -quiet \
-    -token "$token" \
-    2> "$sweepdir/spsweepd.log" &
-daemon=$!
-i=0
-while [ ! -s "$sweepdir/addr" ] && [ "$i" -lt 100 ]; do sleep 0.1; i=$((i+1)); done
-[ -s "$sweepdir/addr" ] || {
-    echo "spsweepd: daemon never wrote its address file" >&2
-    cat "$sweepdir/spsweepd.log" >&2
-    exit 1
-}
-server="http://$(cat "$sweepdir/addr")"
-# Tokenless requests must bounce off the auth middleware with 401.
-if "$sweepdir/spsweep" status -server "$server" 2> "$sweepdir/noauth.log"; then
-    echo "spsweepd: tokenless status succeeded against a token-protected daemon" >&2
-    exit 1
-fi
-grep -q "bearer token" "$sweepdir/noauth.log" || {
-    echo "spsweepd: tokenless rejection not diagnosable:" >&2
-    cat "$sweepdir/noauth.log" >&2
-    exit 1
-}
-"$sweepdir/spsweep" run -server "$server" -token "$token" \
-    -bench x264,streamcluster -kinds dir,sp \
-    -scales 0.05 -format json \
-    > "$sweepdir/server.json" 2> "$sweepdir/serverrun.log" &
-submit=$!
-"$sweepdir/spsweep" work -server "$server" -token "$token" -jobs 1 -poll 100ms -drain \
-    2> "$sweepdir/worker1.log" &
-w1=$!
-"$sweepdir/spsweep" work -server "$server" -token "$token" -jobs 1 -poll 100ms -drain \
-    2> "$sweepdir/worker2.log" &
-w2=$!
-wait "$w1" || { echo "spsweepd: worker 1 failed" >&2; cat "$sweepdir/worker1.log" >&2; exit 1; }
-wait "$w2" || { echo "spsweepd: worker 2 failed" >&2; cat "$sweepdir/worker2.log" >&2; exit 1; }
-wait "$submit" || {
-    echo "spsweepd: server-mode run failed" >&2
-    cat "$sweepdir/serverrun.log" >&2
-    exit 1
-}
-cmp "$sweepdir/server.json" "$sweepdir/local.json" || {
-    echo "spsweepd: server-merged results differ from the local run" >&2
-    exit 1
-}
-# The two workers together executed every cell exactly once (cells are
-# fast, so which worker wins each lease is a race — the count is not).
-ok1=$(grep -c ": ok" "$sweepdir/worker1.log" || true)
-ok2=$(grep -c ": ok" "$sweepdir/worker2.log" || true)
-if [ "$((ok1 + ok2))" -ne 4 ]; then
-    echo "spsweepd: workers executed $ok1+$ok2 cells, want 4" >&2
-    cat "$sweepdir/worker1.log" "$sweepdir/worker2.log" >&2
-    exit 1
-fi
-"$sweepdir/spsweep" status -server "$server" -token "$token" | grep -q "0 pending, 0 leased" || {
-    echo "spsweepd: server status not terminal" >&2
-    exit 1
-}
-"$sweepdir/spsweep" results -server "$server" -token "$token" -format json > "$sweepdir/results.json"
-cmp "$sweepdir/results.json" "$sweepdir/local.json" || {
-    echo "spsweepd: results subcommand bytes differ from the local run" >&2
-    exit 1
-}
-kill "$daemon"
-wait "$daemon" 2>/dev/null || true
-daemon=""
-
 echo "== spscen smoke (builtin specs / generator fuzz / spec replay determinism)"
 go build -o "$sweepdir/spscen" ./cmd/spscen
 go build -o "$sweepdir/spsim" ./cmd/spsim
@@ -255,6 +176,21 @@ for args in "-pred bogus" "-threads 17"; do
     if [ -s "$sweepdir/bad.txt" ]; then
         echo "spsim: $args printed result rows:" >&2
         cat "$sweepdir/bad.txt" >&2
+        exit 1
+    fi
+done
+
+echo "== spsweep bad-input smoke (unknown -format / unsupported -threads)"
+for args in "-format bogus" "-threads 17"; do
+    # $args is deliberately unquoted: it holds a flag and its value.
+    if "$sweepdir/spsweep" run -bench x264 -kinds dir -scales 0.05 -summary "" \
+        -dir "$sweepdir/badstore" $args > "$sweepdir/bad.txt" 2> "$sweepdir/bad.log"; then
+        echo "spsweep: $args exited 0" >&2
+        exit 1
+    fi
+    if [ -s "$sweepdir/bad.txt" ] || [ -e "$sweepdir/badstore" ]; then
+        echo "spsweep: $args printed output or created the store:" >&2
+        cat "$sweepdir/bad.txt" "$sweepdir/bad.log" >&2
         exit 1
     fi
 done
