@@ -486,6 +486,49 @@ func TestCancellationNeverReachesLedger(t *testing.T) {
 	}
 }
 
+// TestCloseDuringAttemptLeavesLedgerClean stops a one-worker run with no
+// retry budget while its single attempt is in flight: the cut attempt is
+// cancelled, not failed, so progress never sees it fail, the ledger on
+// disk stays empty (`spsweep status` does not call a stopped sweep
+// failed), and a resume runs the cell and fails nothing.
+func TestCloseDuringAttemptLeavesLedgerClean(t *testing.T) {
+	dir := t.TempDir()
+	m := oneCell("alpha")
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	defer close(release)
+	blocking := func(j sweep.Job, _ *scenario.Spec) (*sim.Result, error) {
+		started <- struct{}{}
+		<-release
+		return fakeResult(j), nil
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var seen []sweep.JobResult
+	done := make(chan error, 1)
+	go func() {
+		_, err := sweep.Run(ctx, m, sweep.Options{Store: openStore(t, dir), Workers: 1, Retries: 0, Exec: blocking},
+			func(jr sweep.JobResult) { seen = append(seen, jr) })
+		done <- err
+	}()
+	<-started
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("stopped run: err=%v, want context.Canceled", err)
+	}
+	if len(seen) != 0 {
+		t.Fatalf("progress saw an outcome for a cut attempt: %+v", seen)
+	}
+
+	store := openStore(t, dir)
+	if failed := store.FailedCells(); len(failed) != 0 {
+		t.Fatalf("stopping the run wrote the failure ledger: %v", failed)
+	}
+	rep := runLocal(t, m, sweep.Options{Store: store, Workers: 1, Exec: fakeExec})
+	if rep.Failed != 0 || rep.Executed != 1 {
+		t.Fatalf("resume after a stop: executed=%d failed=%d, want 1/0", rep.Executed, rep.Failed)
+	}
+}
+
 // TestResumeRecomputesNothing is the resume acceptance criterion: after an
 // interrupted sweep, resuming executes only the pending jobs, and a second
 // resume executes zero.
