@@ -72,7 +72,7 @@ func main() {
 	pred := flag.String("pred", "dir", "configuration: "+strings.Join(experiments.Kinds(), "|"))
 	scale := flag.Float64("scale", 0.2, "workload scale factor")
 	seed := flag.Int64("seed", 42, "workload build seed")
-	threads := flag.Int("threads", 16, "thread/node count (a perfect-square mesh: 16, 64, 256, ...)")
+	threads := flag.Int("threads", 16, "thread/node count (a perfect-square mesh up to 8x8: 4, 9, 16, ..., 64)")
 	metricsEpoch := flag.Uint64("metrics-epoch", 0, "metrics sampling epoch in cycles (0 = no metrics)")
 	metricsOut := flag.String("metrics-out", "", "write the metrics time-series JSON here (requires -metrics-epoch)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here")

@@ -224,6 +224,11 @@ func cmdRun(args []string, resume bool) error {
 		if !ok {
 			return fmt.Errorf("resume: manifest in %s has no matrix", *dir)
 		}
+		// A recorded matrix this build cannot run (say, a mesh larger than
+		// arch.MaxNodes) is refused as run refuses it, before any attempt.
+		if err := m.Validate(); err != nil {
+			return fmt.Errorf("resume: %w", err)
+		}
 		matrix = m
 	} else if err := store.SetMatrix(matrix); err != nil {
 		return err

@@ -12,6 +12,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"spcoh/internal/sweep"
 )
 
 // argsEnv carries the command line of a re-executed test binary.
@@ -111,6 +113,42 @@ func TestBadFormatRefusedBeforeStore(t *testing.T) {
 		if !strings.Contains(stderr.String(), `unknown format "bogus"`) {
 			t.Fatalf("%s -format bogus: no diagnosis; stderr:\n%s", sub, stderr.String())
 		}
+	}
+}
+
+// TestResumeRefusesUnrunnableMatrix: a store whose recorded matrix this
+// build cannot run is refused by resume with the validation error before
+// any attempt, so the manifest — failure ledger included — is unchanged.
+func TestResumeRefusesUnrunnableMatrix(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	store, err := sweep.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sweep.Matrix{Benches: []string{"x264"}, Kinds: []string{"dir"},
+		Seeds: []int64{1}, Scales: []float64{0.05}, Threads: 17}
+	if err := store.SetMatrix(m); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "manifest.json")
+	before, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := spsweep("resume", "-dir", dir, "-summary", "")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("resume of a 17-thread matrix exited 0; stderr:\n%s", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("resume printed:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "unsupported node count 17") {
+		t.Fatalf("resume: no diagnosis; stderr:\n%s", stderr.String())
+	}
+	if after, err := os.ReadFile(manifest); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("resume changed the manifest (err %v):\n%s", err, after)
 	}
 }
 

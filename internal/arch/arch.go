@@ -41,12 +41,9 @@ func (a Addr) Line() LineAddr { return LineAddr(a >> LineShift) }
 // Base returns the first byte address of the line.
 func (l LineAddr) Base() Addr { return Addr(l) << LineShift }
 
-// MaxNodes is the largest machine a SharerSet can describe. 256 covers the
-// 16x16 mesh; widening further means growing setWords.
-const MaxNodes = 256
-
-// setWords is the number of 64-bit words backing a SharerSet.
-const setWords = MaxNodes / 64
+// MaxNodes is the largest machine a SharerSet can describe: one 64-bit
+// word, which covers the 8x8 mesh.
+const MaxNodes = 64
 
 // SharerSet is a bit vector over NodeIDs: bit i set means node i is a member.
 // It is the universal currency of destination-set prediction — communication
@@ -54,7 +51,7 @@ const setWords = MaxNodes / 64
 // are all SharerSets. It is a comparable value type: == compares membership,
 // and it can key maps.
 type SharerSet struct {
-	w [setWords]uint64
+	w uint64
 }
 
 // EmptySet is the SharerSet with no members (also the zero value).
@@ -71,42 +68,29 @@ func SetOf(nodes ...NodeID) SharerSet {
 
 // FullSet returns the set containing nodes [0, n).
 func FullSet(n int) SharerSet {
-	var s SharerSet
 	if n >= MaxNodes {
-		for i := range s.w {
-			s.w[i] = ^uint64(0)
-		}
-		return s
+		return SharerSet{^uint64(0)}
 	}
-	for i := 0; i < n>>6; i++ {
-		s.w[i] = ^uint64(0)
+	if n <= 0 {
+		return EmptySet
 	}
-	if r := uint(n & 63); r != 0 {
-		s.w[n>>6] = uint64(1)<<r - 1
-	}
-	return s
+	return SharerSet{uint64(1)<<uint(n) - 1}
 }
 
-// SetFromBits64 builds a set from a 64-bit mask over nodes [0, 64). It is
-// the inverse of Bits64 and exists for the binary trace format, which
-// predates the widening past 64 nodes and stores one word.
-func SetFromBits64(mask uint64) SharerSet {
-	var s SharerSet
-	s.w[0] = mask
-	return s
-}
+// SetFromBits64 builds a set from its 64-bit membership mask (bit i is
+// node i). It is the inverse of Bits64; the binary trace format stores
+// sets this way.
+func SetFromBits64(mask uint64) SharerSet { return SharerSet{mask} }
 
-// Bits64 returns the membership mask of nodes [0, 64). Members beyond node
-// 63 are not representable and are dropped; the binary trace format (the
-// only caller) captures 16-node runs.
-func (s SharerSet) Bits64() uint64 { return s.w[0] }
+// Bits64 returns the membership mask: bit i set means node i is a member.
+func (s SharerSet) Bits64() uint64 { return s.w }
 
 // Add returns s with node n added (out-of-range n is ignored).
 func (s SharerSet) Add(n NodeID) SharerSet {
 	if n < 0 || n >= MaxNodes {
 		return s
 	}
-	s.w[n>>6] |= 1 << uint(n&63)
+	s.w |= 1 << uint(n)
 	return s
 }
 
@@ -115,74 +99,39 @@ func (s SharerSet) Remove(n NodeID) SharerSet {
 	if n < 0 || n >= MaxNodes {
 		return s
 	}
-	s.w[n>>6] &^= 1 << uint(n&63)
+	s.w &^= 1 << uint(n)
 	return s
 }
 
 // Contains reports whether node n is a member of s.
 func (s SharerSet) Contains(n NodeID) bool {
-	return n >= 0 && n < MaxNodes && s.w[n>>6]&(1<<uint(n&63)) != 0
+	return n >= 0 && n < MaxNodes && s.w&(1<<uint(n)) != 0
 }
 
 // Count returns the number of members.
-func (s SharerSet) Count() int {
-	c := 0
-	for _, w := range s.w {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
+func (s SharerSet) Count() int { return bits.OnesCount64(s.w) }
 
 // Empty reports whether s has no members.
-func (s SharerSet) Empty() bool {
-	var or uint64
-	for _, w := range s.w {
-		or |= w
-	}
-	return or == 0
-}
+func (s SharerSet) Empty() bool { return s.w == 0 }
 
 // Union returns s ∪ t.
-func (s SharerSet) Union(t SharerSet) SharerSet {
-	for i := range s.w {
-		s.w[i] |= t.w[i]
-	}
-	return s
-}
+func (s SharerSet) Union(t SharerSet) SharerSet { return SharerSet{s.w | t.w} }
 
 // Intersect returns s ∩ t.
-func (s SharerSet) Intersect(t SharerSet) SharerSet {
-	for i := range s.w {
-		s.w[i] &= t.w[i]
-	}
-	return s
-}
+func (s SharerSet) Intersect(t SharerSet) SharerSet { return SharerSet{s.w & t.w} }
 
 // Minus returns s \ t.
-func (s SharerSet) Minus(t SharerSet) SharerSet {
-	for i := range s.w {
-		s.w[i] &^= t.w[i]
-	}
-	return s
-}
+func (s SharerSet) Minus(t SharerSet) SharerSet { return SharerSet{s.w &^ t.w} }
 
 // Superset reports whether s ⊇ t.
-func (s SharerSet) Superset(t SharerSet) bool {
-	var rem uint64
-	for i := range s.w {
-		rem |= t.w[i] &^ s.w[i]
-	}
-	return rem == 0
-}
+func (s SharerSet) Superset(t SharerSet) bool { return t.w&^s.w == 0 }
 
 // First returns the lowest-numbered member, or None if the set is empty.
 func (s SharerSet) First() NodeID {
-	for i, w := range s.w {
-		if w != 0 {
-			return NodeID(i<<6 + bits.TrailingZeros64(w))
-		}
+	if s.w == 0 {
+		return None
 	}
-	return None
+	return NodeID(bits.TrailingZeros64(s.w))
 }
 
 // Nodes returns the members in ascending order.
@@ -194,12 +143,8 @@ func (s SharerSet) Nodes() []NodeID {
 
 // ForEach calls fn for every member in ascending order.
 func (s SharerSet) ForEach(fn func(NodeID)) {
-	for i, w := range s.w {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(NodeID(i<<6 + b))
-			w &^= 1 << uint(b)
-		}
+	for w := s.w; w != 0; w &= w - 1 {
+		fn(NodeID(bits.TrailingZeros64(w)))
 	}
 }
 

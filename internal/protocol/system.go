@@ -49,17 +49,18 @@ func DefaultConfig() Config {
 }
 
 // ConfigFor returns the paper's machine scaled to a different core count.
-// Supported sizes are perfect squares up to arch.MaxNodes = 256 — a 16x16
+// Supported sizes are perfect squares up to arch.MaxNodes = 64 — an 8x8
 // mesh (the mesh stays square); cache and latency parameters are
 // unchanged.
 func ConfigFor(nodes int) (Config, error) {
 	side := 0
-	for s := 1; s*s <= nodes; s++ {
+	// Only sizes up to MaxNodes are searched, so s*s cannot overflow.
+	for s := 1; nodes <= arch.MaxNodes && s*s <= nodes; s++ {
 		if s*s == nodes {
 			side = s
 		}
 	}
-	if side == 0 || nodes > arch.MaxNodes {
+	if side == 0 {
 		return Config{}, fmt.Errorf("protocol: unsupported node count %d (need a perfect square <= %d)", nodes, arch.MaxNodes)
 	}
 	cfg := DefaultConfig()

@@ -27,7 +27,7 @@ func (c goldenCell) key() string {
 }
 
 // goldenCells lists every builtin profile under the three stacks on the
-// paper's 16-tile machine, plus ocean on the 8x8 and 16x16 meshes.
+// paper's 16-tile machine, plus ocean on the 8x8 mesh.
 func goldenCells() []goldenCell {
 	var cells []goldenCell
 	for _, name := range workload.Names() {
@@ -35,9 +35,7 @@ func goldenCells() []goldenCell {
 			cells = append(cells, goldenCell{bench: name, stack: stack, nodes: 16, scale: 0.05})
 		}
 	}
-	for _, nodes := range []int{64, 256} {
-		cells = append(cells, goldenCell{bench: "ocean", stack: "dir", nodes: nodes, scale: 0.02})
-	}
+	cells = append(cells, goldenCell{bench: "ocean", stack: "dir", nodes: 64, scale: 0.02})
 	return cells
 }
 
@@ -149,5 +147,4 @@ var goldenDigests = map[string]string{
 	"x264/sp/n16/s0.05":             "253d69f68bb33a9733a2ad96d9aed19c928a6e798d1801c8fd6917ab53866b22",
 	"x264/bcast/n16/s0.05":          "46a466fc2a5868462bd3e2aa35b507db4e72cef3616d7ed8b64de2417f520ec4",
 	"ocean/dir/n64/s0.02":           "da1301f42241856a2839bd72b0cc186e28584f792c5539815bd58d6d814c22fd",
-	"ocean/dir/n256/s0.02":          "74743ce5570e6661fbf756f6f4c7d111a007dee2268460b43e314be84edce9ec",
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -26,23 +27,21 @@ func TestSmallMachine(t *testing.T) {
 	}
 }
 
-// TestBigMeshCompletes runs the scaled 8x8 and 16x16 machines to
+// TestBigMeshCompletes runs the largest machine, the 8x8 mesh, to
 // completion; Run fails on deadlock and on any hard coherence violation.
 func TestBigMeshCompletes(t *testing.T) {
-	for _, nodes := range []int{64, 256} {
-		cfg, err := protocol.ConfigFor(nodes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := DefaultOptions()
-		opt.Machine = cfg
-		res, err := Run(mustProgram(t, "ocean", nodes, 0.02, 3), opt)
-		if err != nil {
-			t.Fatalf("%d-node mesh: %v", nodes, err)
-		}
-		if res.Misses() == 0 || res.Cycles == 0 {
-			t.Fatalf("%d-node mesh run empty: %+v", nodes, res)
-		}
+	cfg, err := protocol.ConfigFor(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultOptions()
+	opt.Machine = cfg
+	res, err := Run(mustProgram(t, "ocean", 64, 0.02, 3), opt)
+	if err != nil {
+		t.Fatalf("64-node mesh: %v", err)
+	}
+	if res.Misses() == 0 || res.Cycles == 0 {
+		t.Fatalf("64-node mesh run empty: %+v", res)
 	}
 }
 
@@ -76,12 +75,14 @@ func TestPredictorCount(t *testing.T) {
 }
 
 func TestConfigForRejectsNonSquare(t *testing.T) {
-	for _, n := range []int{0, 5, 7, 12, 200, 1024} {
+	// math.MaxInt must be refused at once: squaring a trial side past
+	// MaxNodes would overflow and never end the search.
+	for _, n := range []int{0, 5, 7, 12, 81, 100, 200, 256, 1024, math.MaxInt} {
 		if _, err := protocol.ConfigFor(n); err == nil {
 			t.Errorf("ConfigFor(%d) should error", n)
 		}
 	}
-	for _, n := range []int{1, 4, 16, 64, 100, 256} {
+	for _, n := range []int{1, 4, 9, 16, 49, 64} {
 		cfg, err := protocol.ConfigFor(n)
 		if err != nil {
 			t.Errorf("ConfigFor(%d): %v", n, err)

@@ -10,9 +10,9 @@ import (
 )
 
 // goldenMatrix is the matrix behind the report golden files in testdata:
-// real benchmark and kind names, so a sweep server accepts it too, and
-// goldenFailKey is its one failed cell. internal/sweepd renders the same
-// matrix through its merge endpoint and compares against the same files.
+// real benchmark and kind names, so Matrix.Validate accepts it, and
+// goldenFailKey is its one failed cell. TestRunMatchesReportGolden runs
+// the same matrix through sweep.Run and compares against the same files.
 func goldenMatrix() Matrix {
 	return Matrix{
 		Benches: []string{"x264", "streamcluster"},

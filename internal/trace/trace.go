@@ -98,9 +98,6 @@ func (w *Writer) Write(e *Event) error {
 		w.uv(e.PC)
 		w.uv(uint64(e.MissKind))
 		w.uv(uint64(e.Provider + 1)) // None (-1) encodes as 0
-		// The binary format stores one 64-bit word of invalidation targets;
-		// traces are captured on the paper's 16-node machine, far below the
-		// word boundary.
 		w.uv(e.Invalidated.Bits64())
 		if e.Communicating {
 			w.uv(1)

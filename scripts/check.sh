@@ -31,10 +31,11 @@
 #                 spec piped through spsim -spec twice must render
 #                 byte-identically
 #   spsim bad-input smoke  an unknown -pred and an unsupported -threads
-#                 must each exit non-zero and print no result rows
+#                 (17: not square; 256: past the 8x8 mesh) must each exit
+#                 non-zero and print no result rows
 #   spsweep bad-input smoke  an unknown -format and an unsupported
-#                 -threads must each exit non-zero, print nothing on
-#                 stdout and create no store
+#                 -threads (17, 256) must each exit non-zero, print
+#                 nothing on stdout and create no store
 #   spstat smoke  metrics pipeline end to end: a small instrumented run
 #                 twice (series must be byte-identical), spstat -validate
 #                 (epochs monotone/contiguous), JSON decode, and the
@@ -52,8 +53,6 @@
 #                 shared boxes cannot trip it, tight enough to catch a
 #                 real engine regression; allocation regressions are gated
 #                 by the AllocsPerRun ceilings inside go test (DESIGN.md §11)
-#   scale smoke   spbench -scale-bench over the mesh axis (4x4, 8x8,
-#                 16x16) into a temp record, which must include 16x16
 #
 # Any gate failing exits non-zero.
 set -eu
@@ -167,7 +166,7 @@ cmp "$sweepdir/spec1.txt" "$sweepdir/spec2.txt" || {
 }
 
 echo "== spsim bad-input smoke (unknown -pred / unsupported -threads)"
-for args in "-pred bogus" "-threads 17"; do
+for args in "-pred bogus" "-threads 17" "-threads 256"; do
     # $args is deliberately unquoted: it holds a flag and its value.
     if "$sweepdir/spsim" -bench x264 -scale 0.05 $args > "$sweepdir/bad.txt" 2> "$sweepdir/bad.log"; then
         echo "spsim: $args exited 0" >&2
@@ -181,7 +180,7 @@ for args in "-pred bogus" "-threads 17"; do
 done
 
 echo "== spsweep bad-input smoke (unknown -format / unsupported -threads)"
-for args in "-format bogus" "-threads 17"; do
+for args in "-format bogus" "-threads 17" "-threads 256"; do
     # $args is deliberately unquoted: it holds a flag and its value.
     if "$sweepdir/spsweep" run -bench x264 -kinds dir -scales 0.05 -summary "" \
         -dir "$sweepdir/badstore" $args > "$sweepdir/bad.txt" 2> "$sweepdir/bad.log"; then
@@ -233,21 +232,6 @@ go build -o "$sweepdir/spbench" ./cmd/spbench
 cp results/BENCH_core.json "$sweepdir/BENCH_core.json"
 "$sweepdir/spbench" -core-bench -core-out "$sweepdir/BENCH_core.json" -core-gate 50 || {
     echo "spbench: core benchmark failed (or regressed past the rolling-baseline gate)" >&2
-    exit 1
-}
-
-echo "== spbench scale matrix smoke (mesh record, throwaway path)"
-# A fast pass over the mesh matrix proves the mode works; the curated
-# results/BENCH_scale.json is refreshed deliberately, not here.
-"$sweepdir/spbench" -scale-bench -scale-runs 1 -scale-scale 0.005 \
-    -scale-out "$sweepdir/scale.json" 2> "$sweepdir/scale.log" || {
-    echo "spbench: scale matrix smoke failed:" >&2
-    cat "$sweepdir/scale.log" >&2
-    exit 1
-}
-grep -q '"mesh": "16x16"' "$sweepdir/scale.json" || {
-    echo "spbench: scale matrix record is missing the 16x16 mesh:" >&2
-    cat "$sweepdir/scale.json" >&2
     exit 1
 }
 
